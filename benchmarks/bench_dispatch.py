@@ -1,13 +1,12 @@
-"""Dispatch-kernel wall-clock: per-event vs. chunk-scan vs. run kernel.
+"""Dispatch-kernel wall-clock: per-event replay vs. the run kernel.
 
-The columnar dispatch kernel (DESIGN.md §9) replaces the batched
-replay's first-hit chunk loop — which re-scanned from every crossing —
-with run segmentation and vectorized first-crossing detection, plus a
+The columnar dispatch kernel (DESIGN.md §9) batches replay through run
+segmentation and vectorized first-crossing detection, plus a
 fully-columnar crossing application for ``columnar_maintenance``
-protocols.  Its payoff is largest exactly where the old loop was
-weakest: the dispatch-heavy regime (large jump scale ``sigma``), where
-crossings are so frequent that the chunk loop degenerated into a
-per-event scan with numpy overhead on top.
+protocols.  Its design target is the dispatch-heavy regime (large jump
+scale ``sigma``), where crossings are so frequent that a first-hit
+chunk scan degenerates into a per-event scan with numpy overhead on
+top.
 
 This benchmark times the **replay phase only** (assembly and the
 initialization broadcast are identical across modes and would dilute
@@ -37,7 +36,7 @@ from repro.queries.range_query import RangeQuery
 from repro.runtime.session import ExecutionSession
 from repro.streams.synthetic import SyntheticConfig, generate_synthetic_trace
 
-MODES = ("event", "batch-chunk", "batch")
+MODES = ("event", "batch")
 REPEATS = 1 if SMOKE else 3
 #: The smoke horizon leaves fewer quiescent records per crossing, so
 #: the asserted floor is looser there (the CI guard is against gross
@@ -73,7 +72,7 @@ def _best_replay(trace, mode: str):
     best = float("inf")
     snapshot = stats = None
     for _ in range(REPEATS):
-        protocol = PROTOCOLS["zt-nrp"][1](_spec())
+        protocol = PROTOCOLS["zt-nrp"].build(_spec())
         session = ExecutionSession.for_streams(trace, protocol)
         session.initialize(time=0.0)
         start = time.perf_counter()

@@ -8,7 +8,7 @@ update per violating value change, fanned out server-side.
 
 from repro.harness.reporting import format_table
 from repro.api import Engine
-from repro.multiquery import execute_multi_query as run_multi_query
+from repro.multiquery import execute_multi_query
 from repro.protocols.ft_nrp import FractionToleranceRangeProtocol
 from repro.protocols.zt_nrp import ZeroToleranceRangeProtocol
 from repro.queries.range_query import RangeQuery
@@ -44,7 +44,7 @@ def _run_comparison():
     trace = generate_synthetic_trace(
         SyntheticConfig(n_streams=400, horizon=400.0, seed=3)
     )
-    shared = run_multi_query(trace, _make_queries())
+    shared = execute_multi_query(trace, _make_queries())
     independent = sum(
         run_protocol(trace, protocol, tolerance=tolerance).maintenance_messages
         for protocol, _, tolerance in _make_queries().values()
@@ -68,11 +68,11 @@ def test_extension_multiquery_sharing(benchmark):
                 {
                     "deployment": "shared (multi-query)",
                     "messages": shared.maintenance_messages,
-                    "sharing factor": round(shared.sharing_factor, 2),
+                    "sharing factor": round(shared.extras["sharing_factor"], 2),
                 },
             ],
             title="Extension — four users, one zone, shared sources",
         )
     )
     assert shared.maintenance_messages < independent
-    assert shared.sharing_factor > 1.5
+    assert shared.extras["sharing_factor"] > 1.5

@@ -66,12 +66,12 @@ def test_bench_value_window_replay():
     for eps in EPS_VALUES:
         event, t_event = _best_of(
             lambda e=eps: run_value_tolerance(
-                trace, TopKQuery(k=K), e, check_every=0, replay_mode="event"
+                trace, TopKQuery(k=K), e, Deployment.single(replay_mode="event")
             )
         )
         batch, t_batch = _best_of(
             lambda e=eps: run_value_tolerance(
-                trace, TopKQuery(k=K), e, check_every=0, replay_mode="batch"
+                trace, TopKQuery(k=K), e, Deployment.single(replay_mode="batch")
             )
         )
         assert event.maintenance_messages == batch.maintenance_messages

@@ -60,13 +60,7 @@ from repro.api import (
     sweep_values,
 )
 from repro.correctness import Oracle, ToleranceChecker
-from repro.harness import (
-    RunConfig,
-    RunResult,
-    format_series,
-    format_table,
-    run_protocol,
-)
+from repro.harness import format_series, format_table
 from repro.network import (
     ExponentialLatency,
     FixedLatency,
@@ -125,7 +119,7 @@ from repro.tolerance import (
     derive_rho,
 )
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -163,10 +157,7 @@ __all__ = [
     "RankView",
     "RhoPolicy",
     "run_grid",
-    "run_protocol",
-    "RunConfig",
     "RunReport",
-    "RunResult",
     "Server",
     "ShardedRankView",
     "ShardedServer",

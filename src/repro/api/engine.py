@@ -21,10 +21,8 @@ decisions:
    serving, checking runs (``check_every > 0``) included; everything
    else runs the sequential coordinator in-process.
 
-The module-level ``_execute_*`` functions are the former bodies of the
-stack-specific entrypoints (``run_protocol``, ``run_spatial_protocol``,
-``run_multi_query``); those old names survive as thin deprecation shims
-delegating here, so results are ledger-identical across the rename.
+Every executor takes the :class:`Deployment` and returns the
+:class:`RunReport`; there is no other result shape.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Mapping
 
-from repro.api.report import RunReport
+from repro.api.report import RunReport, build_report
 from repro.api.spec import (
     STACK_SPATIAL,
     STACK_STREAMS,
@@ -45,10 +43,10 @@ from repro.api.spec import (
 )
 from repro.correctness.checker import ToleranceChecker
 from repro.correctness.oracle import Oracle
-from repro.correctness.staleness import StalenessWindow, tag_reason
-from repro.harness.results import RunResult
+from repro.correctness.staleness import StalenessWindow
 from repro.network.accounting import LedgerSnapshot
 from repro.runtime.session import ExecutionSession
+from repro.spatial.trace import SpatialTrace
 
 
 def _as_workload(workload) -> Workload:
@@ -76,99 +74,156 @@ def _collect_extras(protocol) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Scalar streams stack
+# Scalar and spatial stacks
 # ----------------------------------------------------------------------
-def _execute_streams(
+def _checker(stack, trace, protocol, query, tolerance, deployment, channels):
+    """``(checker, replay hooks)`` of a run; no checker without checking.
+
+    The hooks are the ``oracle_apply`` / ``after_apply`` replay
+    callbacks.  This is the one checker assembly of every scalar and spatial executor: the
+    stack supplies only its oracle and its evaluation.  Under a latency
+    model the checker classifies each violation as inherent to the
+    modeled staleness vs a genuine protocol bug, reading *channels* —
+    the session's per-shard channels, or the transport coordinator's
+    merged in-flight plane, which models the same evidence.
+    """
+    if deployment.check_every == 0:
+        return None, {"oracle_apply": None, "after_apply": None}
+    if query is None:
+        query = getattr(protocol, "query", None)
+    if query is None:
+        raise ValueError("checking requires a query")
+    staleness = None
+    if deployment.latency is not None:
+        staleness = StalenessWindow(channels)
+    knobs = dict(
+        every=deployment.check_every,
+        strict=deployment.strict,
+        staleness=staleness,
+    )
+    if stack == STACK_SPATIAL:
+        from repro.spatial.oracle import (
+            SpatialOracle,
+            SpatialToleranceViolationError,
+            evaluate_spatial,
+        )
+
+        oracle = SpatialOracle(trace.initial_points)
+        # check_offset keeps the spatial stack's historical sampling
+        # phase (ticks every, 2*every, ... rather than 1, 1+every, ...).
+        checker = ToleranceChecker(
+            oracle=None,
+            query=None,
+            tolerance=tolerance,
+            answer_of=None,
+            evaluate=lambda: evaluate_spatial(
+                protocol, oracle, query, tolerance
+            ),
+            error_cls=SpatialToleranceViolationError,
+            check_offset=deployment.check_every - 1,
+            **knobs,
+        )
+    else:
+        oracle = Oracle(trace.initial_values)
+        oracle.register_query(query)
+        checker = ToleranceChecker(
+            oracle=oracle,
+            query=query,
+            tolerance=tolerance,
+            answer_of=lambda: protocol.answer,
+            **knobs,
+        )
+    return checker, {"oracle_apply": oracle.apply, "after_apply": checker.check}
+
+
+def _execute(
+    stack: str,
     trace,
     protocol,
     query=None,
     tolerance=None,
     deployment: Deployment | None = None,
     label: str = "",
-) -> RunResult:
-    """Replay *trace* against a scalar *protocol* under *deployment*."""
+) -> RunReport:
+    """Replay *trace* against a scalar or spatial *protocol*."""
     deployment = deployment or Deployment.single()
     if deployment.durable is not None:
+        if stack != STACK_STREAMS:
+            raise ValueError(
+                "durable deployments are not yet supported for spatial "
+                "protocols: the spatial stack's object-dtype containers "
+                "column cannot live in a memmap plane and its point traces "
+                "have no journal record type yet; use the scalar stacks "
+                "for durable runs"
+            )
         # Deployment validation already rejected the incompatible knobs
         # (parallel, latency, check_every); both scalar topologies run
         # through the durable WAL loop.
         from repro.durability.runner import execute_durable_streams
 
         return execute_durable_streams(trace, protocol, deployment, label)
-    if (
-        deployment.topology == "sharded"
-        and deployment.parallel
-        and deployment.check_every == 0
-        and getattr(protocol, "decomposable_maintenance", False)
-    ):
-        return _execute_streams_fanout(trace, protocol, deployment, label)
     if deployment.topology == "sharded" and deployment.parallel:
+        if (
+            stack == STACK_STREAMS
+            and deployment.check_every == 0
+            and getattr(protocol, "decomposable_maintenance", False)
+        ):
+            return _execute_streams_fanout(trace, protocol, deployment, label)
         # Coupled maintenance: worker processes under the epoch-stepped
-        # transport coordinator.  Checking runs ride along — the
-        # coordinator holds the full trace, so it applies the oracle
-        # itself and checks at epoch boundaries (transport.py replay).
-        return _execute_streams_transport(
-            trace, protocol, query, tolerance, deployment, label
+        # transport coordinator, checking runs included.
+        return _execute_transport(
+            stack, trace, protocol, query, tolerance, deployment, label
         )
+    return _execute_sequential(
+        stack, trace, protocol, query, tolerance, deployment, label
+    )
 
+
+def _execute_sequential(
+    stack, trace, protocol, query, tolerance, deployment: Deployment, label
+) -> RunReport:
+    """In-process replay on one server or the sharded coordinator."""
+    started = _time.perf_counter()
+    # Looked up by name on every run, so a patched builder is honoured.
+    builder = "for_streams" if stack == STACK_STREAMS else "for_spatial"
     if deployment.topology == "sharded":
-        session = ExecutionSession.for_streams_sharded(
+        session = getattr(ExecutionSession, builder + "_sharded")(
             trace, protocol, deployment.n_shards, latency=deployment.latency
         )
     else:
-        session = ExecutionSession.for_streams(
+        session = getattr(ExecutionSession, builder)(
             trace, protocol, latency=deployment.latency
         )
-
-    checker: ToleranceChecker | None = None
-    oracle: Oracle | None = None
-    if deployment.check_every > 0:
-        if query is None:
-            query = getattr(protocol, "query", None)
-        if query is None:
-            raise ValueError("checking requires a query")
-        oracle = Oracle(trace.initial_values)
-        oracle.register_query(query)
-        staleness = None
-        if deployment.latency is not None:
-            # Latency-modeled run: classify each violation as inherent
-            # to the modeled staleness vs a genuine protocol bug.
-            staleness = StalenessWindow(session.latency_channels)
-        checker = ToleranceChecker(
-            oracle=oracle,
-            query=query,
-            tolerance=tolerance,
-            answer_of=lambda: protocol.answer,
-            every=deployment.check_every,
-            strict=deployment.strict,
-            staleness=staleness,
-        )
+    checker, hooks = _checker(
+        stack, trace, protocol, query, tolerance, deployment,
+        session.latency_channels,
+    )
 
     session.initialize(time=0.0)
     if checker is not None:
         checker.check_now(0.0)
-
     session.replay_trace(
         trace,
-        oracle_apply=oracle.apply if oracle is not None else None,
-        after_apply=checker.check if checker is not None else None,
         mode=deployment.replay_mode,
         batch_size=deployment.batch_size,
         min_chunk=deployment.min_chunk,
+        **hooks,
     )
 
     extras = _collect_extras(protocol)
     if session.last_replay_stats is not None:
         extras["replay"] = dict(session.last_replay_stats)
-    return RunResult(
+    return build_report(
+        stack=stack,
+        deployment=deployment,
+        trace=trace,
         protocol=protocol.name,
         ledger=session.snapshot(),
-        checker=checker.report if checker is not None else None,
-        n_streams=trace.n_streams,
-        n_records=trace.n_records,
-        final_answer=protocol.answer,
+        started=started,
         label=label,
+        checker=checker,
         extras=extras,
+        final_answer=protocol.answer,
     )
 
 
@@ -263,10 +318,11 @@ def _merge_snapshots(parts: list[LedgerSnapshot]) -> LedgerSnapshot:
 
 def _execute_streams_fanout(
     trace, protocol, deployment: Deployment, label: str
-) -> RunResult:
+) -> RunReport:
     """Sharded + parallel replay of a decomposable protocol."""
     from repro.state.sharding import shard_ranges
 
+    started = _time.perf_counter()
     ranges = shard_ranges(trace.n_streams, deployment.n_shards)
     jobs = [
         (
@@ -296,21 +352,22 @@ def _execute_streams_fanout(
             extras[key] = extras.get(key, 0) + value
     if replay_parts:
         extras["replay"] = _merge_replay_stats(replay_parts)
-    return RunResult(
+    return build_report(
+        stack=STACK_STREAMS,
+        deployment=deployment,
+        trace=trace,
         protocol=protocol.name,
         ledger=_merge_snapshots([snapshot for snapshot, _, _ in parts]),
-        checker=None,
-        n_streams=trace.n_streams,
-        n_records=trace.n_records,
-        final_answer=answer,
+        started=started,
         label=label,
         extras=extras,
+        final_answer=answer,
     )
 
 
-def _execute_streams_transport(
-    trace, protocol, query, tolerance, deployment: Deployment, label: str
-) -> RunResult:
+def _execute_transport(
+    stack, trace, protocol, query, tolerance, deployment: Deployment, label
+) -> RunReport:
     """Sharded + parallel replay of a *coupled* protocol.
 
     Worker processes own the shard traces and source populations; the
@@ -322,9 +379,18 @@ def _execute_streams_transport(
     and violation sequence match the sequential checking run while the
     workers keep their batched pre-scan.
     """
-    from repro.server.transport import TransportShardedServer
+    from repro.server.transport import (
+        SpatialTransportShardedServer,
+        TransportShardedServer,
+    )
 
-    server = TransportShardedServer(
+    started = _time.perf_counter()
+    server_cls = (
+        SpatialTransportShardedServer
+        if stack == STACK_SPATIAL
+        else TransportShardedServer
+    )
+    server = server_cls(
         trace,
         protocol,
         deployment.n_shards,
@@ -333,257 +399,32 @@ def _execute_streams_transport(
         batch_size=deployment.batch_size,
         min_chunk=deployment.min_chunk,
     )
-    checker: ToleranceChecker | None = None
-    oracle: Oracle | None = None
-    if deployment.check_every > 0:
-        if query is None:
-            query = getattr(protocol, "query", None)
-        if query is None:
-            raise ValueError("checking requires a query")
-        oracle = Oracle(trace.initial_values)
-        oracle.register_query(query)
-        staleness = None
-        if deployment.latency is not None:
-            # The coordinator's merged in-flight plane models exactly
-            # the quantities the sequential run reads off its per-shard
-            # channels (messages in flight, late deliveries, lagging
-            # streams), so it serves as the staleness window's channel.
-            staleness = StalenessWindow([server.in_flight_plane])
-        checker = ToleranceChecker(
-            oracle=oracle,
-            query=query,
-            tolerance=tolerance,
-            answer_of=lambda: protocol.answer,
-            every=deployment.check_every,
-            strict=deployment.strict,
-            staleness=staleness,
-        )
+    checker, hooks = _checker(
+        stack, trace, protocol, query, tolerance, deployment,
+        [server.in_flight_plane],
+    )
     with server:
         server.initialize(0.0)
         if checker is not None:
             checker.check_now(0.0)
-        worker_stats = server.replay(
-            horizon=trace.horizon,
-            oracle_apply=oracle.apply if oracle is not None else None,
-            after_apply=checker.check if checker is not None else None,
-        )
+        worker_stats = server.replay(horizon=trace.horizon, **hooks)
         transport_stats = server.transport_stats()
 
     extras = _collect_extras(protocol)
     replay = _merge_replay_stats(worker_stats)
     replay["transport"] = transport_stats
     extras["replay"] = replay
-    return RunResult(
+    return build_report(
+        stack=stack,
+        deployment=deployment,
+        trace=trace,
         protocol=protocol.name,
         ledger=server.snapshot(),
-        checker=checker.report if checker is not None else None,
-        n_streams=trace.n_streams,
-        n_records=trace.n_records,
-        final_answer=protocol.answer,
+        started=started,
         label=label,
+        checker=checker,
         extras=extras,
-    )
-
-
-# ----------------------------------------------------------------------
-# Spatial stack
-# ----------------------------------------------------------------------
-def _execute_spatial(
-    trace,
-    protocol,
-    query=None,
-    tolerance=None,
-    deployment: Deployment | None = None,
-):
-    """Replay a spatial *trace* under any topology.
-
-    ``Deployment.sharded(n)`` runs the sharded spatial coordinator
-    (ledger byte-identical to single-server; see
-    ``repro.server.sharded.ShardedSpatialServer``); adding
-    ``parallel=True`` moves the shards onto worker processes under the
-    spatial shard transport
-    (:class:`repro.server.transport.SpatialTransportShardedServer`),
-    checking runs included.  Latency models compose with the transport:
-    nonzero models run with externally-stepped worker channels whose
-    pending deliveries cross the process boundary on the coordinator's
-    in-flight plane, byte-identical to sequential sharded serving.
-    """
-    from repro.spatial.runner import execute_spatial
-
-    deployment = deployment or Deployment.single()
-    if deployment.durable is not None:
-        raise ValueError(
-            "durable deployments are not yet supported for spatial "
-            "protocols: the spatial stack's object-dtype containers "
-            "column cannot live in a memmap plane and its point traces "
-            "have no journal record type yet; use the scalar stacks for "
-            "durable runs"
-        )
-    if deployment.topology == "sharded" and deployment.parallel:
-        return _execute_spatial_transport(
-            trace, protocol, query, tolerance, deployment
-        )
-    return execute_spatial(
-        trace,
-        protocol,
-        query=query,
-        tolerance=tolerance,
-        config=deployment.run_config(),
-        n_shards=deployment.n_shards,
-        latency=deployment.latency,
-    )
-
-
-def _execute_spatial_transport(
-    trace, protocol, query, tolerance, deployment: Deployment
-):
-    """Sharded + parallel replay of a coupled *spatial* protocol.
-
-    The spatial mirror of :func:`_execute_streams_transport`: worker
-    processes own the shard point populations and AABB pre-scans, the
-    protocol runs once at the epoch-stepped coordinator, and a checking
-    run evaluates the spatial tolerance at epoch boundaries against a
-    coordinator-side :class:`~repro.spatial.oracle.SpatialOracle`.
-    Returns the same :class:`~repro.spatial.runner.SpatialRunResult`
-    shape as the sequential executor, with the transport's coordination
-    counters attached to ``replay_stats``.
-    """
-    from repro.server.transport import SpatialTransportShardedServer
-    from repro.spatial.oracle import SpatialOracle
-    from repro.spatial.runner import (
-        SpatialRunResult,
-        SpatialToleranceViolationError,
-        _evaluate,
-    )
-
-    oracle: SpatialOracle | None = None
-    staleness: StalenessWindow | None = None
-    if deployment.check_every > 0:
-        if query is None:
-            query = getattr(protocol, "query", None)
-        if query is None:
-            raise ValueError("checking requires a query")
-        oracle = SpatialOracle(trace.initial_points)
-
-    server = SpatialTransportShardedServer(
-        trace,
-        protocol,
-        deployment.n_shards,
-        latency=deployment.latency,
-        replay_mode=deployment.replay_mode,
-        batch_size=deployment.batch_size,
-        min_chunk=deployment.min_chunk,
-    )
-    if oracle is not None and deployment.latency is not None:
-        # The merged in-flight plane models the same evidence the
-        # sequential run reads off its per-shard channels.
-        staleness = StalenessWindow([server.in_flight_plane])
-
-    checker: ToleranceChecker | None = None
-    with server:
-        server.initialize(0.0)
-        if oracle is not None:
-            bound_oracle, bound_query = oracle, query
-            checker = ToleranceChecker(
-                oracle=None,
-                query=None,
-                tolerance=tolerance,
-                answer_of=None,
-                every=deployment.check_every,
-                strict=deployment.strict,
-                staleness=staleness,
-                evaluate=lambda: _evaluate(
-                    protocol, bound_oracle, bound_query, tolerance
-                ),
-                error_cls=SpatialToleranceViolationError,
-                check_offset=deployment.check_every - 1,
-            )
-            checker.check_now(0.0)
-        worker_stats = server.replay(
-            horizon=trace.horizon,
-            oracle_apply=oracle.apply if oracle is not None else None,
-            after_apply=checker.check if checker is not None else None,
-        )
-        transport_stats = server.transport_stats()
-
-    replay_stats = _merge_replay_stats(worker_stats)
-    replay_stats["transport"] = transport_stats
-    result = SpatialRunResult(
-        protocol=protocol.name,
-        ledger=server.snapshot(),
-        n_streams=trace.n_streams,
-        n_records=trace.n_records,
         final_answer=protocol.answer,
-        classified=staleness is not None,
-        replay_stats=replay_stats,
-    )
-    if checker is not None:
-        report = checker.report
-        result.checks = report.checks
-        result.violations = [
-            f"t={v.time}: {tag_reason(v.reason, v.classification)}"
-            for v in report.violations
-        ]
-        result.violations_inherent_latency = report.inherent_count
-        result.violations_protocol_bug = report.protocol_bug_count
-    return result
-
-
-# ----------------------------------------------------------------------
-# Multi-query stack
-# ----------------------------------------------------------------------
-def _execute_multiquery(trace, queries, deployment: Deployment | None = None):
-    """Run several protocols over one shared population; single only."""
-    from repro.multiquery.runner import execute_multi_query
-
-    deployment = deployment or Deployment.single()
-    if deployment.durable is not None:
-        raise ValueError(
-            "durable deployments are not supported for the multi-query "
-            "stack: its coordinator delivers shared updates to protocol "
-            "slots directly, bypassing the channel and ledger charge "
-            "points the journal mirrors; run each query durably on its "
-            "own single-query deployment instead"
-        )
-    if deployment.topology != "single":
-        raise ValueError(
-            "the multi-query stack supports only Deployment.single()"
-        )
-    if deployment.latency is not None:
-        raise ValueError(
-            "latency-modeled delivery is not supported for the multi-query "
-            "stack: its coordinator delivers shared updates to protocol "
-            "slots directly, bypassing the channel, so there is no wire "
-            "on which messages could fly; use the single-query stacks for "
-            "staleness studies"
-        )
-    return execute_multi_query(trace, queries, config=deployment.run_config())
-
-
-# ----------------------------------------------------------------------
-# Value-window stack
-# ----------------------------------------------------------------------
-def _execute_value_window(
-    trace, query, eps: float, deployment: Deployment | None = None
-):
-    from repro.valuebased.protocol import run_value_tolerance
-
-    deployment = deployment or Deployment.single()
-    if deployment.durable is not None:
-        raise ValueError(
-            "durable deployments are not yet supported for the "
-            "value-window stack: its runner owns its own session "
-            "assembly and does not thread a journaling ledger; use the "
-            "scalar stacks for durable runs"
-        )
-    return run_value_tolerance(
-        trace,
-        query,
-        eps,
-        check_every=deployment.check_every,
-        replay_mode=deployment.replay_mode,
-        n_shards=deployment.n_shards,
-        latency=deployment.latency,
     )
 
 
@@ -623,80 +464,22 @@ class Engine:
     ) -> RunReport:
         """Execute one spec over one workload; returns a unified report."""
         deployment = deployment or self.deployment
-        workload = _as_workload(workload)
-        trace = workload.materialize()
-        started = _time.perf_counter()
+        trace = _as_workload(workload).materialize()
+        if spec.stack == STACK_VALUEBASED:
+            from repro.valuebased.protocol import run_value_tolerance
 
-        if spec.stack == STACK_STREAMS:
-            result = _execute_streams(
-                trace,
-                spec.build(),
-                query=spec.query,
-                tolerance=spec.tolerance,
-                deployment=deployment,
-                label=label,
+            return run_value_tolerance(
+                trace, spec.query, float(spec.options["eps"]), deployment,
+                label,
             )
-            return self._report_from_run_result(
-                result, STACK_STREAMS, deployment, started, label
-            )
-        if spec.stack == STACK_SPATIAL:
-            result = _execute_spatial(
-                trace,
-                spec.build(),
-                query=spec.query,
-                tolerance=spec.tolerance,
-                deployment=deployment,
-            )
-            extras: dict = {}
-            if result.classified:
-                extras["violations_inherent_latency"] = (
-                    result.violations_inherent_latency
-                )
-                extras["violations_protocol_bug"] = (
-                    result.violations_protocol_bug
-                )
-            if result.replay_stats is not None:
-                extras["replay"] = result.replay_stats
-            return RunReport(
-                protocol=result.protocol,
-                stack=STACK_SPATIAL,
-                topology=deployment.describe(),
-                ledger=result.ledger,
-                n_streams=result.n_streams,
-                n_records=result.n_records,
-                wall_seconds=_time.perf_counter() - started,
-                final_answer=result.final_answer,
-                checks=result.checks,
-                violations=tuple(result.violations),
-                label=label,
-                extras=extras,
-                raw=result,
-            )
-        assert spec.stack == STACK_VALUEBASED
-        result = _execute_value_window(
-            trace, spec.query, float(spec.options["eps"]), deployment
-        )
-        return RunReport(
-            protocol="value-eps",
-            stack=STACK_VALUEBASED,
-            topology=deployment.describe(),
-            ledger=result.ledger,
-            n_streams=trace.n_streams,
-            n_records=trace.n_records,
-            wall_seconds=_time.perf_counter() - started,
-            final_answer=frozenset(),
-            checks=result.rank_samples,
-            violations=()
-            if result.value_guarantee_held
-            else ("value guarantee violated",),
+        return _execute(
+            spec.stack,
+            trace,
+            spec.build(),
+            query=spec.query,
+            tolerance=spec.tolerance,
+            deployment=deployment,
             label=label,
-            extras={
-                "eps": result.eps,
-                "worst_rank": result.worst_rank,
-                "mean_rank_error": result.mean_rank_error,
-                "value_guarantee_held": result.value_guarantee_held,
-            },
-            raw=result,
         )
 
     def run_queries(
@@ -707,34 +490,15 @@ class Engine:
         label: str = "",
     ) -> RunReport:
         """Run several specs as one shared multi-query deployment."""
-        deployment = deployment or self.deployment
-        workload = _as_workload(workload)
-        trace = workload.materialize()
+        from repro.multiquery.runner import execute_multi_query
+
+        trace = _as_workload(workload).materialize()
         queries = {
             query_id: (spec.build(), spec.query, spec.tolerance)
             for query_id, spec in specs.items()
         }
-        started = _time.perf_counter()
-        result = _execute_multiquery(trace, queries, deployment)
-        return RunReport(
-            protocol="multi-query",
-            stack="multiquery",
-            topology=deployment.describe(),
-            ledger=result.ledger,
-            n_streams=trace.n_streams,
-            n_records=trace.n_records,
-            wall_seconds=_time.perf_counter() - started,
-            final_answer=frozenset(),
-            checks=result.checks,
-            violations=tuple(result.violations),
-            label=label,
-            extras={
-                "shared_updates": result.shared_updates,
-                "logical_deliveries": result.logical_deliveries,
-                "sharing_factor": result.sharing_factor,
-            },
-            answers=dict(result.answers),
-            raw=result,
+        return execute_multi_query(
+            trace, queries, deployment or self.deployment, label
         )
 
     # ------------------------------------------------------------------
@@ -749,67 +513,21 @@ class Engine:
         deployment: Deployment | None = None,
         label: str = "",
     ) -> RunReport:
-        """Run an already-constructed scalar protocol instance.
+        """Run an already-constructed protocol instance.
 
         For ablations and tests that tweak protocol internals before
         running; figure-style runs should prefer :meth:`run` with a
-        :class:`QuerySpec`.
+        :class:`QuerySpec`.  A :class:`~repro.spatial.trace.SpatialTrace`
+        runs on the spatial stack, any other trace on the scalar one.
         """
-        deployment = deployment or self.deployment
-        started = _time.perf_counter()
-        result = _execute_streams(
+        return _execute(
+            STACK_SPATIAL if isinstance(trace, SpatialTrace) else STACK_STREAMS,
             trace,
             protocol,
             query=query,
             tolerance=tolerance,
-            deployment=deployment,
+            deployment=deployment or self.deployment,
             label=label,
-        )
-        return self._report_from_run_result(
-            result, STACK_STREAMS, deployment, started, label
-        )
-
-    def _report_from_run_result(
-        self,
-        result: RunResult,
-        stack: str,
-        deployment: Deployment,
-        started: float,
-        label: str,
-    ) -> RunReport:
-        checker = result.checker
-        violations: tuple[str, ...] = ()
-        checks = 0
-        extras = dict(result.extras)
-        if checker is not None:
-            checks = checker.checks
-            violations = tuple(
-                f"t={violation.time}: "
-                + tag_reason(violation.reason, violation.classification)
-                for violation in checker.violations
-            )
-            if checker.violation_count > len(checker.violations):
-                violations += (
-                    f"... and {checker.violation_count - len(checker.violations)} more",
-                )
-            if checker.classified:
-                # Staleness-window mode: surface the violation split.
-                extras["violations_inherent_latency"] = checker.inherent_count
-                extras["violations_protocol_bug"] = checker.protocol_bug_count
-        return RunReport(
-            protocol=result.protocol,
-            stack=stack,
-            topology=deployment.describe(),
-            ledger=result.ledger,
-            n_streams=result.n_streams,
-            n_records=result.n_records,
-            wall_seconds=_time.perf_counter() - started,
-            final_answer=result.final_answer,
-            checks=checks,
-            violations=violations,
-            label=label,
-            extras=extras,
-            raw=result,
         )
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import PurePath
 from typing import Any, Mapping
 
+from repro.correctness.staleness import tag_reason
 from repro.network.accounting import LedgerSnapshot
 from repro.network.messages import MessageKind
 
@@ -51,13 +53,12 @@ def _json_safe(value: Any, path: str) -> Any:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Outcome of one :meth:`Engine.run` — ledger, violations, timing.
+    """Outcome of one run — ledger, violations, timing.
 
-    Every stack-specific result (``RunResult``, ``SpatialRunResult``,
-    ``MultiQueryResult``, ``ValueToleranceResult``) projects onto this
-    shape, so comparisons across stacks and topologies read the same
-    fields.  ``raw`` keeps the stack-specific result for callers that
-    need its extra detail.
+    Every executor of every stack returns this one shape, so
+    comparisons across stacks and topologies read the same fields;
+    stack-specific detail (replay counters, value-window rank quality,
+    multi-query sharing, durability) lives in ``extras``.
     """
 
     protocol: str
@@ -74,8 +75,6 @@ class RunReport:
     extras: Mapping[str, Any] = field(default_factory=dict)
     #: Per-query answers (multi-query runs only).
     answers: Mapping[str, frozenset[int]] | None = None
-    #: The stack-specific result object this report was built from.
-    raw: Any = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -135,3 +134,56 @@ class RunReport:
         }
         row.update(self.extras)
         return row
+
+
+def violation_lines(report) -> tuple[str, ...]:
+    """A :class:`~repro.correctness.checker.CheckerReport`'s violations
+    as report lines, ending in ``... and N more`` when the checker kept
+    fewer records than it counted."""
+    lines = tuple(
+        f"t={v.time}: {tag_reason(v.reason, v.classification)}"
+        for v in report.violations
+    )
+    hidden = report.violation_count - len(report.violations)
+    if hidden > 0:
+        lines += (f"... and {hidden} more",)
+    return lines
+
+
+def build_report(
+    *,
+    stack: str,
+    deployment,
+    trace,
+    protocol: str,
+    ledger: LedgerSnapshot,
+    started: float,
+    label: str = "",
+    checker=None,
+    extras: Mapping[str, Any] | None = None,
+    **fields,
+) -> RunReport:
+    """The :class:`RunReport` of a run that began at *started*
+    (``time.perf_counter()``).  A *checker* (a
+    :class:`~repro.correctness.checker.ToleranceChecker`) supplies the
+    checks and violation lines, and in staleness-window mode the
+    inherent-latency / protocol-bug split in ``extras``."""
+    extras = dict(extras or {})
+    if checker is not None:
+        report = checker.report
+        fields.update(checks=report.checks, violations=violation_lines(report))
+        if report.classified:
+            extras["violations_inherent_latency"] = report.inherent_count
+            extras["violations_protocol_bug"] = report.protocol_bug_count
+    return RunReport(
+        protocol=protocol,
+        stack=stack,
+        topology=deployment.describe(),
+        ledger=ledger,
+        n_streams=trace.n_streams,
+        n_records=trace.n_records,
+        wall_seconds=time.perf_counter() - started,
+        label=label,
+        extras=extras,
+        **fields,
+    )

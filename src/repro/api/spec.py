@@ -24,10 +24,18 @@ boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.network.latency import as_latency_model
-from repro.runtime.session import DEFAULT_BATCH_SIZE, DEFAULT_MIN_CHUNK
+from repro.queries.base import NonRankBasedQuery, RankBasedQuery
+from repro.runtime.session import (
+    DEFAULT_BATCH_SIZE,
+    DEFAULT_MIN_CHUNK,
+    REPLAY_MODES,
+)
+from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
+from repro.tolerance.fraction_tolerance import FractionTolerance
+from repro.tolerance.rank_tolerance import RankTolerance
 
 #: Stack identifiers (which execution assembly a protocol runs on).
 STACK_STREAMS = "streams"
@@ -103,27 +111,59 @@ def _build_spatial(name: str) -> Callable:
     return build
 
 
-#: Protocol name -> (stack, builder).  Names are the paper's, lowercased;
-#: ``-2d`` marks the spatial generalizations and ``value-eps`` the
-#: Olston-style value-window scheme Figure 1 compares against.
-PROTOCOLS: dict[str, tuple[str, Callable | None]] = {
-    name: (STACK_STREAMS, _build_streams(name))
-    for name in ("no-filter", "zt-nrp", "ft-nrp", "rtp", "zt-rp", "ft-rp")
-}
-PROTOCOLS.update(
-    {
-        name: (STACK_SPATIAL, _build_spatial(name))
-        for name in (
-            "no-filter-2d",
-            "zt-nrp-2d",
-            "ft-nrp-2d",
-            "rtp-2d",
-            "zt-rp-2d",
-            "ft-rp-2d",
-        )
-    }
-)
-PROTOCOLS["value-eps"] = (STACK_VALUEBASED, None)
+class ProtocolEntry(NamedTuple):
+    """One :data:`PROTOCOLS` row: the stack, the builder, and the query
+    and tolerance types the protocol accepts."""
+
+    stack: str
+    build: Callable | None
+    queries: tuple[type, ...]
+    tolerances: tuple[type, ...]
+
+
+def _protocol_table() -> dict[str, ProtocolEntry]:
+    fraction, rank = (FractionTolerance,), (RankTolerance,)
+    table = {}
+    for suffix, stack, builder, range_q, rank_q in (
+        ("", STACK_STREAMS, _build_streams, NonRankBasedQuery, RankBasedQuery),
+        ("-2d", STACK_SPATIAL, _build_spatial, SpatialRangeQuery,
+         SpatialKnnQuery),
+    ):
+        # Exact protocols take a tolerance only for checking.
+        for name, queries, tolerances in (
+            ("no-filter", (range_q, rank_q), fraction + rank),
+            ("zt-nrp", (range_q,), fraction),
+            ("ft-nrp", (range_q,), fraction),
+            ("rtp", (rank_q,), rank),
+            ("zt-rp", (rank_q,), fraction + rank),
+            ("ft-rp", (rank_q,), fraction),
+        ):
+            name += suffix
+            table[name] = ProtocolEntry(
+                stack, builder(name), queries, tolerances
+            )
+    table["value-eps"] = ProtocolEntry(
+        STACK_VALUEBASED, None, (RankBasedQuery,), ()
+    )
+    return table
+
+
+#: Protocol name -> :class:`ProtocolEntry`.  Names are the paper's,
+#: lowercased; ``-2d`` marks the spatial generalizations and
+#: ``value-eps`` the Olston-style value-window scheme Figure 1 compares
+#: against.  A spec may omit the tolerance; a tolerance-exploiting
+#: protocol then fails in :meth:`QuerySpec.build`, naming what is missing.
+PROTOCOLS = _protocol_table()
+
+
+def _accepted(value, types: tuple[type, ...], what: str, name: str) -> None:
+    if isinstance(value, types):
+        return
+    names = " | ".join(t.__name__ for t in types) or "none"
+    raise ValueError(
+        f"protocol {name!r} got a {type(value).__name__} {what}; "
+        f"it accepts {names}"
+    )
 
 
 @dataclass(frozen=True)
@@ -166,11 +206,23 @@ class QuerySpec:
             raise ValueError("QuerySpec requires a query")
         if name == "value-eps" and "eps" not in self.options:
             raise ValueError("value-eps requires options={'eps': <width>}")
+        entry = PROTOCOLS[name]
+        _accepted(self.query, entry.queries, "query", name)
+        if self.tolerance is not None:
+            _accepted(self.tolerance, entry.tolerances, "tolerance", name)
+        if isinstance(self.tolerance, RankTolerance) and not isinstance(
+            self.query, (RankBasedQuery, SpatialKnnQuery)
+        ):
+            raise ValueError(
+                f"protocol {name!r} got a RankTolerance for a "
+                f"{type(self.query).__name__} query; a rank tolerance "
+                "needs a rank-based query"
+            )
 
     @property
     def stack(self) -> str:
         """Which execution stack serves this spec."""
-        return PROTOCOLS[self.protocol][0]
+        return PROTOCOLS[self.protocol].stack
 
     def require_tolerance(self):
         if self.tolerance is None:
@@ -181,7 +233,7 @@ class QuerySpec:
 
     def build(self):
         """A fresh protocol instance (protocols are single-use)."""
-        builder = PROTOCOLS[self.protocol][1]
+        builder = PROTOCOLS[self.protocol].build
         if builder is None:
             raise TypeError(
                 f"{self.protocol!r} has no protocol object; the engine "
@@ -287,11 +339,26 @@ class Deployment:
         quiescence planes — the spatial ``-2d`` protocols.
     n_shards:
         Shard count (``>= 1``; must be ``>= 2`` for ``sharded``).
-    replay_mode, batch_size, min_chunk:
-        As :class:`repro.harness.config.RunConfig`.
+    replay_mode:
+        ``"auto"`` uses the vectorized batched fast path whenever no
+        correctness checking is active and falls back to faithful
+        per-event replay otherwise; ``"event"`` forces the per-event
+        path.  ``"batch"`` requests the fast path unconditionally but
+        still downgrades (silently) to per-event replay where batching
+        is unsound, so forcing it can never change results, only speed.
+        All paths produce identical message ledgers: batching only skips
+        records that provably cannot flip any filter.
+    batch_size:
+        Chunk size of the batched quiescence pre-scan.
+    min_chunk:
+        Floor of the batched replay's adaptive chunk heuristic: lively
+        stretches shrink the scan window, but never below this many
+        records per pre-scan.  ``batch_size`` still caps every scan.
     check_every, strict:
-        Continuous tolerance checking cadence (``0`` disables; checking
-        forces per-event replay).
+        Validate tolerance every N-th applied record (``0`` disables
+        checking; ``1`` checks after every record; checking forces
+        per-event replay).  ``strict`` raises on the first violation
+        instead of recording it.
     parallel, max_workers:
         Process parallelism.  Under ``sharded``, protocols whose
         maintenance needs no server feedback (``decomposable_maintenance``)
@@ -361,6 +428,30 @@ class Deployment:
     durable: Any = None
 
     def __post_init__(self) -> None:
+        # Reject wrong shapes eagerly and loudly: a malformed knob that
+        # slips through here surfaces far downstream as a silently wrong
+        # replay path or an opaque numpy error mid-replay.
+        for knob, low in (
+            ("check_every", 0), ("batch_size", 1), ("min_chunk", 1)
+        ):
+            value = getattr(self, knob)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(
+                    f"{knob} must be an int, got {type(value).__name__}"
+                )
+            if value < low:
+                hint = " (0 disables checking)" if low == 0 else ""
+                raise ValueError(f"{knob} must be >= {low}{hint}, got {value}")
+        if not isinstance(self.replay_mode, str):
+            raise TypeError(
+                f"replay_mode must be a str, got "
+                f"{type(self.replay_mode).__name__}"
+            )
+        if self.replay_mode not in REPLAY_MODES:
+            raise ValueError(
+                f"replay_mode must be one of {REPLAY_MODES}, "
+                f"got {self.replay_mode!r}"
+            )
         if self.topology not in TOPOLOGIES:
             raise ValueError(
                 f"topology must be one of {TOPOLOGIES}, got {self.topology!r}"
@@ -409,8 +500,6 @@ class Deployment:
                     "could not reproduce the checker's observations; "
                     "check the same spec in a separate non-durable run"
                 )
-        # Reuse RunConfig's validation for the shared knobs.
-        self.run_config()
 
     @classmethod
     def single(cls, **knobs) -> "Deployment":
@@ -421,30 +510,6 @@ class Deployment:
     def sharded(cls, n_shards: int, **knobs) -> "Deployment":
         """``n_shards`` shard servers behind a merging coordinator."""
         return cls(topology="sharded", n_shards=n_shards, **knobs)
-
-    @classmethod
-    def from_run_config(cls, config) -> "Deployment":
-        """Lift a legacy :class:`RunConfig` onto a single-server deployment."""
-        return cls.single(
-            replay_mode=config.replay_mode,
-            batch_size=config.batch_size,
-            min_chunk=config.min_chunk,
-            check_every=config.check_every,
-            strict=config.strict,
-        )
-
-    def run_config(self, label: str = ""):
-        """The legacy :class:`RunConfig` projection of this deployment."""
-        from repro.harness.config import RunConfig
-
-        return RunConfig(
-            check_every=self.check_every,
-            strict=self.strict,
-            label=label,
-            replay_mode=self.replay_mode,
-            batch_size=self.batch_size,
-            min_chunk=self.min_chunk,
-        )
 
     def with_checking(self, check_every: int, strict: bool = False):
         """A copy with a different checking cadence."""

@@ -132,7 +132,7 @@ class ToleranceChecker:
     check_offset:
         Which of each ``every``-length window's ticks fires, in
         ``[0, every)``.  The scalar engine checks ticks ``1, 1+every,
-        ...`` (offset 0); the spatial runner historically checked ticks
+        ...`` (offset 0); the spatial stack historically checked ticks
         ``every, 2*every, ...`` (offset ``every - 1``), and its check
         count — and thus its strict-mode behaviour — is part of the
         recorded results, so the phase is a parameter rather than a

@@ -38,7 +38,10 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
+import time
 
+from repro.api.report import RunReport
+from repro.api.spec import Deployment
 from repro.durability.journal import (
     Journal,
     JournalContents,
@@ -47,13 +50,12 @@ from repro.durability.journal import (
 )
 from repro.durability.policy import DurabilityPolicy
 from repro.durability.runner import (
-    _build_result,
+    _build_report,
     _durability_extras,
     _merge_segment_stats,
     _replay_segments,
     build_durable_session,
 )
-from repro.harness.results import RunResult
 from repro.runtime.session import ExecutionSession
 from repro.sim.engine import SimulationEngine
 
@@ -184,7 +186,7 @@ def recover_run(run_dir: str) -> RecoveredRun:
     )
 
 
-def resume_run(run_dir: str, trace, progress=None) -> RunResult:
+def resume_run(run_dir: str, trace, progress=None) -> RunReport:
     """Recover the run under *run_dir* and finish it against *trace*.
 
     *trace* must be the original run's trace (the journal holds the
@@ -194,6 +196,7 @@ def resume_run(run_dir: str, trace, progress=None) -> RunResult:
     an uninterrupted run, so the final ledger, answer, and journal are
     those of a run that never crashed.
     """
+    started = time.perf_counter()
     rec = recover_run(run_dir)
     policy = rec.policy
     manifest = rec.manifest
@@ -235,6 +238,15 @@ def resume_run(run_dir: str, trace, progress=None) -> RunResult:
     extras = {"durability": durability}
     if loop["replay_parts"]:
         extras["replay"] = _merge_segment_stats(loop["replay_parts"])
-    return _build_result(
-        rec.session, trace, manifest.get("label", ""), extras
+    deployment = Deployment(
+        topology=manifest["topology"],
+        n_shards=manifest["n_shards"],
+        replay_mode=manifest["replay_mode"],
+        batch_size=manifest["batch_size"],
+        min_chunk=manifest["min_chunk"],
+        durable=policy,
+    )
+    return _build_report(
+        rec.session, trace, deployment, manifest.get("label", ""), extras,
+        started,
     )

@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import os
 import pickle
+import time
 
+from repro.api.report import RunReport, build_report
+from repro.api.spec import STACK_STREAMS
 from repro.durability.journal import Journal, JournaledLedger
 from repro.durability.policy import DurabilityPolicy
-from repro.harness.results import RunResult
 from repro.runtime.session import ExecutionSession
 from repro.state.table import StateTableFactory
 
@@ -167,19 +169,21 @@ def _durability_extras(
     }
 
 
-def _build_result(
-    session: ExecutionSession, trace, label: str, extras: dict
-) -> RunResult:
+def _build_report(
+    session: ExecutionSession, trace, deployment, label: str, extras: dict,
+    started: float,
+) -> RunReport:
     protocol = session.host.protocol
-    return RunResult(
+    return build_report(
+        stack=STACK_STREAMS,
+        deployment=deployment,
+        trace=trace,
         protocol=protocol.name,
         ledger=session.snapshot(),
-        checker=None,
-        n_streams=trace.n_streams,
-        n_records=trace.n_records,
-        final_answer=protocol.answer,
+        started=started,
         label=label,
         extras=extras,
+        final_answer=protocol.answer,
     )
 
 
@@ -208,7 +212,7 @@ def build_durable_session(
 
 def execute_durable_streams(
     trace, protocol, deployment, label: str = "", progress=None
-) -> RunResult:
+) -> RunReport:
     """Run *trace* against *protocol* with a write-ahead journal.
 
     *deployment* must carry a :class:`DurabilityPolicy` (validated at
@@ -216,6 +220,7 @@ def execute_durable_streams(
     the record position after every segment — the kill-and-recover
     suite injects its crash there.
     """
+    started = time.perf_counter()
     policy: DurabilityPolicy = deployment.durable
     if policy is None:
         raise ValueError("deployment has no durability policy")
@@ -288,4 +293,4 @@ def execute_durable_streams(
     }
     if loop["replay_parts"]:
         extras["replay"] = _merge_segment_stats(loop["replay_parts"])
-    return _build_result(session, trace, label, extras)
+    return _build_report(session, trace, deployment, label, extras, started)

@@ -1,27 +1,12 @@
-"""Experiment harness: run config, results, reporting — and legacy shims.
+"""Experiment harness: the table and series renderers the figures use.
 
-Execution entry moved to the declarative facade :mod:`repro.api`
-(``Engine.run(QuerySpec, Workload, Deployment)``); this package keeps
-the run configuration (:class:`~repro.harness.config.RunConfig`), the
-scalar result shape (:class:`~repro.harness.results.RunResult`), the
-table/series renderers the figures use, and thin deprecation shims for
-the old entrypoints (:func:`~repro.harness.runner.run_protocol`,
-:mod:`~repro.harness.sweep`) that delegate to the engine with
-ledger-identical results.
+Runs go through the declarative facade :mod:`repro.api`
+(``Engine().run(QuerySpec, Workload, Deployment)``).
 """
 
-from repro.harness.config import RunConfig
-from repro.harness.results import RunResult
-from repro.harness.runner import run_protocol
-from repro.harness.sweep import run_grid, sweep_values
 from repro.harness.reporting import format_series, format_table
 
 __all__ = [
-    "RunConfig",
-    "RunResult",
     "format_series",
     "format_table",
-    "run_grid",
-    "run_protocol",
-    "sweep_values",
 ]

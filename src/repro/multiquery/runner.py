@@ -5,19 +5,16 @@ Assembly and replay are the runtime kernel's
 coordinator is the session host); with checking disabled the batched
 fast path pre-scans records against every query's slot bounds at once.
 :func:`execute_multi_query` is the mechanism
-:meth:`repro.api.Engine.run_queries` compiles onto; the old
-:func:`run_multi_query` name survives as a deprecation shim returning
-identical results.
+:meth:`repro.api.Engine.run_queries` compiles onto.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+import time
 
+from repro.api.report import RunReport, build_report
+from repro.api.spec import Deployment
 from repro.correctness.oracle import Oracle
-from repro.harness.config import RunConfig
-from repro.network.accounting import LedgerSnapshot
 from repro.protocols.base import FilterProtocol
 from repro.queries.base import EntityQuery, RankBasedQuery
 from repro.runtime.session import ExecutionSession
@@ -28,54 +25,12 @@ from repro.tolerance.rank_tolerance import RankTolerance
 Tolerance = RankTolerance | FractionTolerance | None
 
 
-@dataclass
-class MultiQueryResult:
-    """Outcome of a shared multi-query run."""
-
-    ledger: LedgerSnapshot
-    shared_updates: int
-    logical_deliveries: int
-    answers: dict[str, frozenset[int]]
-    checks: int = 0
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def maintenance_messages(self) -> int:
-        return self.ledger.maintenance_total
-
-    @property
-    def tolerance_ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def sharing_factor(self) -> float:
-        """Average queries served per physical update (>= 1)."""
-        if self.shared_updates == 0:
-            return 1.0
-        return self.logical_deliveries / self.shared_updates
-
-
-def run_multi_query(
-    trace: StreamTrace,
-    queries: dict[str, tuple[FilterProtocol, EntityQuery, Tolerance]],
-    config: RunConfig | None = None,
-) -> MultiQueryResult:
-    """Deprecated: use :meth:`repro.api.Engine.run_queries`."""
-    warnings.warn(
-        "repro.multiquery.runner.run_multi_query is deprecated; use "
-        "repro.api.Engine().run_queries({'q1': QuerySpec(...), ...}, "
-        "Workload.from_trace(trace))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_multi_query(trace, queries, config=config)
-
-
 def execute_multi_query(
     trace: StreamTrace,
     queries: dict[str, tuple[FilterProtocol, EntityQuery, Tolerance]],
-    config: RunConfig | None = None,
-) -> MultiQueryResult:
+    deployment: Deployment | None = None,
+    label: str = "",
+) -> RunReport:
     """Run every registered query's protocol over one shared population.
 
     Parameters
@@ -86,40 +41,64 @@ def execute_multi_query(
         ``query_id -> (protocol, query, tolerance)``.  The protocol is a
         normal single-query protocol instance; the query/tolerance pair
         is used for the optional correctness checking.
-    config:
-        ``check_every`` / ``strict`` as in the single-query runner.
+    deployment:
+        A single-server deployment without latency or durability; its
+        ``check_every`` / ``strict`` / replay knobs apply.
+
+    The report carries per-query ``answers`` and, in ``extras``, the
+    physical ``shared_updates``, the ``logical_deliveries`` and their
+    ratio ``sharing_factor`` (average queries served per physical
+    update, ``>= 1``).
     """
-    config = config or RunConfig()
+    deployment = deployment or Deployment.single()
+    if deployment.durable is not None:
+        raise ValueError(
+            "durable deployments are not supported for the multi-query "
+            "stack: its coordinator delivers shared updates to protocol "
+            "slots directly, bypassing the channel and ledger charge "
+            "points the journal mirrors; run each query durably on its "
+            "own single-query deployment instead"
+        )
+    if deployment.topology != "single":
+        raise ValueError(
+            "the multi-query stack supports only Deployment.single()"
+        )
+    if deployment.latency is not None:
+        raise ValueError(
+            "latency-modeled delivery is not supported for the multi-query "
+            "stack: its coordinator delivers shared updates to protocol "
+            "slots directly, bypassing the channel, so there is no wire "
+            "on which messages could fly; use the single-query stacks for "
+            "staleness studies"
+        )
+    started = time.perf_counter()
     session = ExecutionSession.for_multiquery(trace.initial_values)
     coordinator = session.host
     for query_id, (protocol, _, _) in queries.items():
         coordinator.register(query_id, protocol)
 
     oracle: Oracle | None = None
-    if config.check_every > 0:
+    if deployment.check_every > 0:
         oracle = Oracle(trace.initial_values)
         for _, (_, query, _) in queries.items():
             oracle.register_query(query)
 
     session.initialize(time=0.0)
 
-    result = MultiQueryResult(
-        ledger=session.snapshot(),
-        shared_updates=0,
-        logical_deliveries=0,
-        answers={},
-    )
+    checks = 0
+    violations: list[str] = []
 
     def check(time: float) -> None:
+        nonlocal checks
         assert oracle is not None
-        result.checks += 1
+        checks += 1
         for query_id, (protocol, query, tolerance) in queries.items():
             reason = _evaluate(protocol, oracle, query, tolerance)
             if reason is not None:
                 note = f"t={time} [{query_id}]: {reason}"
-                if len(result.violations) < 100:
-                    result.violations.append(note)
-                if config.strict:
+                if len(violations) < 100:
+                    violations.append(note)
+                if deployment.strict:
                     raise AssertionError(note)
 
     oracle_apply = None
@@ -132,25 +111,39 @@ def execute_multi_query(
         def after_apply(time: float) -> None:
             nonlocal tick
             tick += 1
-            if tick % config.check_every == 0:
+            if tick % deployment.check_every == 0:
                 check(time)
 
     session.replay_trace(
         trace,
         oracle_apply=oracle_apply,
         after_apply=after_apply,
-        mode=config.replay_mode,
-        batch_size=config.batch_size,
-        min_chunk=config.min_chunk,
+        mode=deployment.replay_mode,
+        batch_size=deployment.batch_size,
+        min_chunk=deployment.min_chunk,
     )
 
-    result.ledger = session.snapshot()
-    result.shared_updates = coordinator.shared_updates
-    result.logical_deliveries = coordinator.logical_deliveries
-    result.answers = {
-        query_id: coordinator.answer(query_id) for query_id in queries
-    }
-    return result
+    shared = coordinator.shared_updates
+    logical = coordinator.logical_deliveries
+    return build_report(
+        stack="multiquery",
+        deployment=deployment,
+        trace=trace,
+        protocol="multi-query",
+        ledger=session.snapshot(),
+        started=started,
+        label=label,
+        extras={
+            "shared_updates": shared,
+            "logical_deliveries": logical,
+            "sharing_factor": logical / shared if shared else 1.0,
+        },
+        checks=checks,
+        violations=tuple(violations),
+        answers={
+            query_id: coordinator.answer(query_id) for query_id in queries
+        },
+    )
 
 
 def _evaluate(

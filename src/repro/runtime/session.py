@@ -19,13 +19,12 @@ the host (server or coordinator) — and provides the single
   bulk windows; only actual crossings go through the per-event
   machinery, and the state table's constraint-plane watch tells the
   kernel exactly which runs a dispatch invalidated.
-* **batch-chunk** — the pre-kernel fast path: first-hit chunk scanning
-  with whole-chunk rescans after every dispatch.  Kept selectable so
-  the dispatch benchmark can race the two fast paths.
+* **auto** — batch when it is both safe and useful (see below), event
+  otherwise.
 
 Because quiescent records produce no messages by definition and every
 crossing dispatches at its own virtual time through the same source
-code path, the resulting :class:`MessageLedger` snapshot of either fast
+code path, the resulting :class:`MessageLedger` snapshot of the fast
 path is byte-identical to the per-event path's.
 
 The pre-scan reads the deployed bounds and believed memberships directly
@@ -69,13 +68,11 @@ DEFAULT_BATCH_SIZE = 4096
 
 #: Minimum pre-scan chunk: below this, numpy call overhead beats the
 #: per-event loop anyway.  The adaptive chunk heuristic never shrinks a
-#: window below it; tunable per run via ``Deployment``/``RunConfig``.
+#: window below it; tunable per run via ``Deployment``.
 DEFAULT_MIN_CHUNK = 32
 
-#: ``"batch"`` is the run-based columnar dispatch kernel (DESIGN.md §9);
-#: ``"batch-chunk"`` keeps the previous first-hit chunk loop selectable
-#: so the dispatch benchmark can race the two fast paths.
-REPLAY_MODES = ("auto", "event", "batch", "batch-chunk")
+#: ``"batch"`` is the run-based columnar dispatch kernel (DESIGN.md §9).
+REPLAY_MODES = ("auto", "event", "batch")
 
 
 def in_flight_barrier(channels):
@@ -494,7 +491,7 @@ class ExecutionSession:
             Correctness hook, called with the record time *after* each
             record is applied.  Forces per-event replay.
         mode:
-            ``"auto"`` | ``"event"`` | ``"batch"`` | ``"batch-chunk"``.
+            ``"auto"`` | ``"event"`` | ``"batch"``.
         batch_size:
             Chunk size of the batched quiescence pre-scan.
         min_chunk:
@@ -518,11 +515,6 @@ class ExecutionSession:
         self.last_replay_stats = stats
         if mode == "batch":
             self._replay_run_kernel(
-                times, stream_ids, payloads, horizon, batch_size, min_chunk,
-                stats,
-            )
-        elif mode == "batch-chunk":
-            self._replay_chunked(
                 times, stream_ids, payloads, horizon, batch_size, min_chunk,
                 stats,
             )
@@ -616,11 +608,8 @@ class ExecutionSession:
     # ------------------------------------------------------------------
     # Bail out to per-event replay when, after a fair sample, more than
     # this fraction of records dispatched: the workload is too lively for
-    # pre-scanning to pay off.  The run kernel tolerates a much higher
-    # rate than the chunk loop because a dispatch costs it one heap pop
-    # and a suffix check instead of a whole-chunk rescan.
-    _BAILOUT_RATE = 0.25
-    _BAILOUT_MIN_DISPATCHES = 64
+    # pre-scanning to pay off.  The rate is high because a dispatch costs
+    # the kernel only one heap pop and a suffix check.
     _RUN_BAILOUT_RATE = 0.6
     _RUN_BAILOUT_MIN_DISPATCHES = 512
     # A dispatch whose protocol reaction rewrites more than this many
@@ -640,114 +629,6 @@ class ExecutionSession:
             self.engine.run(until=time)
         deferred.flush_for_dispatch(stream_id)
         self.sources[stream_id].apply(payloads[j], time)
-
-    def _replay_chunked(
-        self, times, stream_ids, payloads, horizon, batch_size, min_chunk,
-        stats,
-    ) -> None:
-        """The first-hit chunk loop (the pre-kernel batched fast path).
-
-        Scans each chunk for its *first* potential violation, stages the
-        quiescent prefix, dispatches the hit per-event and rescans from
-        the next record.  Kept selectable as ``mode="batch-chunk"`` so
-        the dispatch benchmark can race it against the run kernel; the
-        ledger is byte-identical to both other paths.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if min_chunk < 1:
-            raise ValueError("min_chunk must be >= 1")
-        stats["kernel"] = "chunk"
-        n = len(times)
-        prescan = _StatePrescan(self._state_tables())
-        deferred = _DeferredAssignments(self.sources, self.channels, payloads)
-        dispatches = 0
-        # Adaptive chunk: track the typical quiescent run length so a
-        # lively stretch rescans small windows, a calm one big ones.
-        avg_run = float(batch_size)
-        try:
-            i = 0
-            while i < n:
-                chunk = int(min(batch_size, max(min_chunk, 4 * avg_run)))
-                end = min(i + chunk, n)
-                forced_hit = None
-                lagging: set[int] = set()
-                if self.latency_channels:
-                    t_barrier, lagging = self._in_flight_barrier()
-                    if t_barrier is not None:
-                        # Claim nothing at or past the pending delivery.
-                        cap = i + int(
-                            np.searchsorted(
-                                times[i:end], t_barrier, side="left"
-                            )
-                        )
-                        if cap == i:
-                            # Next record needs the delivery first:
-                            # dispatching it per-event runs the engine up
-                            # to its time, draining what is due.
-                            forced_hit = 0
-                        else:
-                            end = cap
-                ids_chunk = stream_ids[i:end]
-                vals_chunk = payloads[i:end]
-                if forced_hit is not None:
-                    hit = forced_hit
-                else:
-                    stats["chunk_scans"] += 1
-                    hit = prescan.first_potential(ids_chunk, vals_chunk)
-                    if lagging:
-                        # In-flight streams are never provably quiescent.
-                        lag_hits = np.nonzero(
-                            np.isin(
-                                ids_chunk,
-                                np.fromiter(
-                                    lagging, dtype=np.int64, count=len(lagging)
-                                ),
-                            )
-                        )[0]
-                        if lag_hits.size:
-                            first_lag = int(lag_hits[0])
-                            hit = (
-                                first_lag
-                                if hit is None
-                                else min(hit, first_lag)
-                            )
-                if hit is None:
-                    deferred.stage(ids_chunk, vals_chunk)
-                    stats["staged"] += len(ids_chunk)
-                    avg_run = min(float(batch_size), 2.0 * max(avg_run, 1.0))
-                    i = end
-                    continue
-                if hit > 0:
-                    deferred.stage(ids_chunk[:hit], vals_chunk[:hit])
-                    stats["staged"] += hit
-                avg_run = 0.75 * avg_run + 0.25 * hit
-                j = i + hit
-                self._dispatch_record(deferred, stream_ids, payloads, times, j)
-                i = j + 1
-                dispatches += 1
-                # The state-table columns are live views, so re-reading
-                # bounds after a broadcast costs nothing; the only
-                # overhead left is chunk re-scans, which the dispatch-rate
-                # bailout below keeps bounded.
-                if (
-                    dispatches >= self._BAILOUT_MIN_DISPATCHES
-                    and dispatches > self._BAILOUT_RATE * i
-                ):
-                    break
-        finally:
-            deferred.close()
-        stats["dispatches"] += dispatches
-        if i < n:
-            # Too lively: finish faithfully on the per-event path.
-            stats["dispatch_bailout_at"] = int(i)
-            stats["dispatches"] += n - i
-            self._replay_events(
-                times[i:], stream_ids[i:], payloads[i:], horizon, None, None
-            )
-            return
-        if horizon is None or horizon > self.engine.now:
-            self.engine.run(until=horizon)
 
     def _replay_run_kernel(
         self, times, stream_ids, payloads, horizon, batch_size, min_chunk,
@@ -1264,10 +1145,3 @@ class _StatePrescan:
         # Filterless streams report every change.
         potential |= ~guarded
         return potential
-
-    def first_potential(self, ids_chunk, vals_chunk) -> int | None:
-        """Index of the first record that might flip a filter, if any."""
-        hits = np.nonzero(self.crossing_mask(ids_chunk, vals_chunk))[0]
-        if hits.size == 0:
-            return None
-        return int(hits[0])

@@ -16,11 +16,12 @@ This subpackage provides that extension end to end:
   moving-object workloads;
 * :mod:`repro.spatial.protocols` — spatial counterparts of ZT-NRP,
   FT-NRP, RTP, ZT-RP and FT-RP;
-* :mod:`repro.spatial.runner` — the execution mechanism,
-  :func:`~repro.spatial.runner.execute_spatial`, which the
-  :class:`repro.api.Engine` compiles ``-2d`` specs onto (the deprecated
-  :func:`~repro.spatial.runner.run_spatial_protocol` shim delegates to
-  it).
+* :mod:`repro.spatial.oracle` — ground truth and the spatial tolerance
+  test the checker plugs in.
+
+Runs go through :class:`repro.api.Engine` with a ``-2d``
+:class:`~repro.api.QuerySpec`; the scalar and spatial stacks share one
+executor.
 
 The 1-D implementation in the parent package follows the paper line by
 line; this package re-derives the same logic over regions so the 1-D
@@ -44,7 +45,6 @@ from repro.spatial.protocols import (
     SpatialZeroKnnProtocol,
     SpatialZeroRangeProtocol,
 )
-from repro.spatial.runner import execute_spatial, run_spatial_protocol
 from repro.spatial.trace import SpatialTrace
 from repro.spatial.workloads import (
     MovingObjectsConfig,
@@ -68,7 +68,5 @@ __all__ = [
     "SpatialZeroKnnProtocol",
     "SpatialZeroRangeProtocol",
     "UnionRegion",
-    "execute_spatial",
     "generate_moving_objects_trace",
-    "run_spatial_protocol",
 ]

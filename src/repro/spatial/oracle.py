@@ -1,10 +1,16 @@
-"""Ground truth for vector-valued streams."""
+"""Ground truth for vector-valued streams, and the spatial tolerance test."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
+from repro.tolerance.fraction_tolerance import FractionTolerance
+from repro.tolerance.rank_tolerance import RankTolerance
+
+
+class SpatialToleranceViolationError(AssertionError):
+    """Raised in strict mode when a spatial protocol breaks tolerance."""
 
 
 class SpatialOracle:
@@ -28,3 +34,32 @@ class SpatialOracle:
         self, query: SpatialRangeQuery | SpatialKnnQuery
     ) -> frozenset[int]:
         return query.true_answer(self._points)
+
+
+def evaluate_spatial(
+    protocol,
+    oracle: SpatialOracle,
+    query: SpatialRangeQuery | SpatialKnnQuery,
+    tolerance: RankTolerance | FractionTolerance | None,
+) -> str | None:
+    """Why *protocol*'s answer breaks *tolerance* now, or ``None``."""
+    answer = set(protocol.answer)
+    if isinstance(tolerance, RankTolerance):
+        assert isinstance(query, SpatialKnnQuery)
+        if len(answer) != tolerance.k:
+            return f"|A| = {len(answer)}, expected exactly k = {tolerance.k}"
+        order = query.ranked_ids(oracle.points)
+        admissible = set(int(i) for i in order[: tolerance.eps])
+        stragglers = answer - admissible
+        if stragglers:
+            return f"stream {min(stragglers)} ranks worse than {tolerance.eps}"
+        return None
+    true_set = oracle.true_answer(query)
+    if isinstance(tolerance, FractionTolerance):
+        return tolerance.violation(answer, true_set)
+    if answer != true_set:
+        return (
+            f"exact answer required: {len(answer - true_set)} spurious, "
+            f"{len(true_set - answer)} missing"
+        )
+    return None

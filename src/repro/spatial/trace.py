@@ -7,6 +7,8 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.streams.trace import require_finite
+
 
 @dataclass
 class SpatialTrace:
@@ -44,6 +46,9 @@ class SpatialTrace:
             raise ValueError("record arrays must have equal length")
         if len(self.points) and self.points.shape[1] != self.dimension:
             raise ValueError("record dimension differs from initial points")
+        require_finite(
+            self, ("initial_points", "times", "points", "horizon")
+        )
         if len(self.times) and np.any(np.diff(self.times) < 0):
             raise ValueError("trace records must be sorted by time")
         if len(self.times) and self.horizon < self.times[-1]:

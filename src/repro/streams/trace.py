@@ -19,6 +19,15 @@ from typing import Iterator
 import numpy as np
 
 
+def require_finite(trace, columns) -> None:
+    """Reject NaN and infinity in *trace*'s numeric *columns* (one
+    vectorized test per column): a non-finite value never crosses a
+    filter bound, so it would pass through a run silently."""
+    for name in columns:
+        if not np.isfinite(getattr(trace, name)).all():
+            raise ValueError(f"{name} must be finite (no NaN or infinity)")
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     """A single stream update: at *time*, stream *stream_id* takes *value*."""
@@ -58,6 +67,9 @@ class StreamTrace:
         self.values = np.asarray(self.values, dtype=np.float64)
         if not (len(self.times) == len(self.stream_ids) == len(self.values)):
             raise ValueError("record arrays must have equal length")
+        require_finite(
+            self, ("initial_values", "times", "values", "horizon")
+        )
         if len(self.times) and np.any(np.diff(self.times) < 0):
             raise ValueError("trace records must be sorted by time")
         if len(self.times):

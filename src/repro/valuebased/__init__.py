@@ -19,14 +19,12 @@ RTP, whose rank guarantee is direct.
 """
 
 from repro.valuebased.protocol import (
-    ValueToleranceResult,
     ValueToleranceTopKProtocol,
     run_value_tolerance,
 )
 from repro.valuebased.source import WindowFilterSource
 
 __all__ = [
-    "ValueToleranceResult",
     "ValueToleranceTopKProtocol",
     "WindowFilterSource",
     "run_value_tolerance",

@@ -10,19 +10,16 @@ returned streams — to quantify Figure 1's complaint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
 
 import numpy as np
 
+from repro.api.report import RunReport, build_report
+from repro.api.spec import STACK_VALUEBASED, Deployment
 from repro.correctness.oracle import Oracle
-from repro.network.accounting import LedgerSnapshot
 from repro.queries.base import RankBasedQuery
 from repro.queries.rank import ranked_ids
-from repro.runtime.session import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_MIN_CHUNK,
-    ExecutionSession,
-)
+from repro.runtime.session import ExecutionSession
 from repro.sim.stats import Tally
 from repro.streams.trace import StreamTrace
 
@@ -63,47 +60,42 @@ class ValueToleranceTopKProtocol:
         return self._cache
 
 
-@dataclass
-class ValueToleranceResult:
-    """Cost and answer-quality outcome of a value-tolerance run."""
-
-    eps: float
-    maintenance_messages: int
-    worst_rank: int
-    mean_rank_error: float
-    value_guarantee_held: bool
-    rank_samples: int = 0
-    extras: dict = field(default_factory=dict)
-    #: Full message-ledger snapshot (for the unified RunReport).
-    ledger: "LedgerSnapshot | None" = None
-
-
 def run_value_tolerance(
     trace: StreamTrace,
     query: RankBasedQuery,
     eps: float,
-    check_every: int = 1,
-    replay_mode: str = "auto",
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    min_chunk: int = DEFAULT_MIN_CHUNK,
-    n_shards: int = 1,
-    latency=None,
-) -> ValueToleranceResult:
+    deployment: Deployment | None = None,
+    label: str = "",
+) -> RunReport:
     """Replay *trace* under value tolerance *eps*; measure rank quality.
 
-    ``worst_rank`` is the worst true rank any returned stream held at a
-    checkpoint; ``mean_rank_error`` averages ``max(0, rank - k)`` over
-    all sampled answer members.  ``value_guarantee_held`` verifies the
-    scheme's own contract: every known value within ``eps/2`` of truth.
-    With ``check_every=0`` no rank quality is sampled and the batched
-    replay fast path applies.  ``n_shards > 1`` partitions the sources
-    over per-shard channels (one ledger); window reports are purely
-    local decisions, so the ledger is identical to the single-channel
-    run.
+    The report's ``extras`` carry ``worst_rank``, the worst true rank
+    any returned stream held at a checkpoint; ``mean_rank_error``, the
+    mean of ``max(0, rank - k)`` over all sampled answer members; and
+    ``value_guarantee_held``, the scheme's own contract (every known
+    value within ``eps/2`` of truth), whose breach is the report's one
+    violation.  ``checks`` counts the sampled answer members.
+
+    *deployment* defaults to ``Deployment.single(check_every=1)``: rank
+    quality sampled after every record.  With ``check_every=0`` nothing
+    is sampled and the batched replay fast path applies.  A sharded
+    deployment partitions the sources over per-shard channels (one
+    ledger); window reports are purely local decisions, so the ledger is
+    identical to the single-channel run.
     """
-    if n_shards > 1:
+    deployment = deployment or Deployment.single(check_every=1)
+    if deployment.durable is not None:
+        raise ValueError(
+            "durable deployments are not yet supported for the "
+            "value-window stack: its runner owns its own session "
+            "assembly and does not thread a journaling ledger; use the "
+            "scalar stacks for durable runs"
+        )
+    started = time.perf_counter()
+    latency = deployment.latency
+    if deployment.n_shards > 1:
         session = ExecutionSession.for_windows_sharded(
-            trace, width=eps, n_shards=n_shards, latency=latency
+            trace, width=eps, n_shards=deployment.n_shards, latency=latency
         )
     else:
         session = ExecutionSession.for_windows(trace, width=eps, latency=latency)
@@ -128,6 +120,7 @@ def run_value_tolerance(
     guarantee_held = True
     oracle_apply = None
     after_apply = None
+    check_every = deployment.check_every
     if check_every:
         oracle = Oracle(trace.initial_values)
         oracle_apply = oracle.apply
@@ -154,17 +147,25 @@ def run_value_tolerance(
         trace,
         oracle_apply=oracle_apply,
         after_apply=after_apply,
-        mode=replay_mode,
-        batch_size=batch_size,
-        min_chunk=min_chunk,
+        mode=deployment.replay_mode,
+        batch_size=deployment.batch_size,
+        min_chunk=deployment.min_chunk,
     )
 
-    return ValueToleranceResult(
-        eps=eps,
-        maintenance_messages=session.ledger.maintenance_total,
-        worst_rank=worst_rank,
-        mean_rank_error=rank_error.mean if rank_error.count else 0.0,
-        value_guarantee_held=guarantee_held,
-        rank_samples=rank_error.count,
+    return build_report(
+        stack=STACK_VALUEBASED,
+        deployment=deployment,
+        trace=trace,
+        protocol=protocol.name,
         ledger=session.snapshot(),
+        started=started,
+        label=label,
+        extras={
+            "eps": eps,
+            "worst_rank": worst_rank,
+            "mean_rank_error": rank_error.mean if rank_error.count else 0.0,
+            "value_guarantee_held": guarantee_held,
+        },
+        checks=rank_error.count,
+        violations=() if guarantee_held else ("value guarantee violated",),
     )

@@ -9,6 +9,7 @@ import pytest
 
 from repro.api import Deployment, Engine, QuerySpec, Workload
 from repro.durability import DurabilityPolicy
+from repro.queries.knn import TopKQuery
 from repro.queries.range_query import RangeQuery
 from repro.spatial.geometry import BoxRegion
 from repro.spatial.queries import SpatialRangeQuery
@@ -62,7 +63,7 @@ def test_durable_rejects_multiquery_stack(tmp_path):
 def test_durable_rejects_value_window_stack(tmp_path):
     spec = QuerySpec(
         protocol="value-eps",
-        query=RangeQuery(400.0, 600.0),
+        query=TopKQuery(k=3),
         options={"eps": 50.0},
     )
     workload = Workload.synthetic(n_streams=20, horizon=20.0, seed=1)

@@ -1,10 +1,9 @@
-"""Integration tests for the run loop."""
+"""Integration tests for the run loop (``Engine.run_protocol``)."""
 
 import numpy as np
 import pytest
 
-from repro.harness.config import RunConfig
-from repro.harness.runner import run_protocol
+from repro.api import Deployment, Engine
 from repro.protocols.ft_nrp import FractionToleranceRangeProtocol
 from repro.protocols.no_filter import NoFilterProtocol
 from repro.protocols.zt_nrp import ZeroToleranceRangeProtocol
@@ -16,7 +15,7 @@ QUERY = RangeQuery(400.0, 600.0)
 
 
 def test_result_fields(small_trace):
-    result = run_protocol(small_trace, ZeroToleranceRangeProtocol(QUERY))
+    result = Engine().run_protocol(small_trace, ZeroToleranceRangeProtocol(QUERY))
     assert result.protocol == "ZT-NRP"
     assert result.n_streams == small_trace.n_streams
     assert result.n_records == small_trace.n_records
@@ -31,8 +30,8 @@ def test_result_fields(small_trace):
 
 
 def test_checker_disabled_by_default(small_trace):
-    result = run_protocol(small_trace, ZeroToleranceRangeProtocol(QUERY))
-    assert result.checker is None
+    result = Engine().run_protocol(small_trace, ZeroToleranceRangeProtocol(QUERY))
+    assert result.checks == 0
     assert result.tolerance_ok  # vacuous
 
 
@@ -46,16 +45,16 @@ def test_checking_requires_query_when_protocol_lacks_one(small_trace):
     protocol = ZeroToleranceRangeProtocol(QUERY)
     del protocol.query
     with pytest.raises(ValueError):
-        run_protocol(
-            small_trace, protocol, config=RunConfig(check_every=1)
+        Engine().run_protocol(
+            small_trace, protocol, deployment=Deployment.single(check_every=1)
         )
 
 
 def test_label_propagates(small_trace):
-    result = run_protocol(
+    result = Engine().run_protocol(
         small_trace,
         ZeroToleranceRangeProtocol(QUERY),
-        config=RunConfig(label="my-run"),
+        label="my-run",
     )
     assert result.label == "my-run"
     assert result.row()["label"] == "my-run"
@@ -63,7 +62,7 @@ def test_label_propagates(small_trace):
 
 def test_row_contains_extras(small_trace):
     tolerance = FractionTolerance(0.2, 0.2)
-    result = run_protocol(
+    result = Engine().run_protocol(
         small_trace,
         FractionToleranceRangeProtocol(QUERY, tolerance),
         tolerance=tolerance,
@@ -75,25 +74,25 @@ def test_row_contains_extras(small_trace):
 
 def test_empty_trace_runs(manual_trace):
     empty = manual_trace.truncate(0.0)
-    result = run_protocol(empty, ZeroToleranceRangeProtocol(QUERY))
+    result = Engine().run_protocol(empty, ZeroToleranceRangeProtocol(QUERY))
     assert result.maintenance_messages == 0
     assert result.n_records == 0
 
 
 def test_sampled_checking_counts(small_trace):
-    result = run_protocol(
+    result = Engine().run_protocol(
         small_trace,
         ZeroToleranceRangeProtocol(QUERY),
-        config=RunConfig(check_every=10),
+        deployment=Deployment.single(check_every=10),
     )
     # one check at t0 plus every 10th record
     expected = 1 + (small_trace.n_records + 9) // 10
-    assert result.checker.checks == expected
+    assert result.checks == expected
 
 
 def test_same_trace_same_result(small_trace):
-    a = run_protocol(small_trace, ZeroToleranceRangeProtocol(QUERY))
-    b = run_protocol(small_trace, ZeroToleranceRangeProtocol(QUERY))
+    a = Engine().run_protocol(small_trace, ZeroToleranceRangeProtocol(QUERY))
+    b = Engine().run_protocol(small_trace, ZeroToleranceRangeProtocol(QUERY))
     assert a.maintenance_messages == b.maintenance_messages
     assert a.final_answer == b.final_answer
 
@@ -106,10 +105,10 @@ def test_simultaneous_records_processed_in_order():
         values=np.array([500.0, 700.0, 500.0]),
         horizon=2.0,
     )
-    result = run_protocol(
+    result = Engine().run_protocol(
         trace,
         ZeroToleranceRangeProtocol(QUERY),
-        config=RunConfig(check_every=1, strict=True),
+        deployment=Deployment.single(check_every=1, strict=True),
     )
     # enter, leave, enter: three crossings, final answer includes stream 0.
     assert result.maintenance_messages == 3

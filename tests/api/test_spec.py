@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Deployment, QuerySpec, Workload
+from repro.api import PROTOCOLS, Deployment, QuerySpec, Workload
 from repro.queries.knn import TopKQuery
 from repro.queries.range_query import RangeQuery
 from repro.tolerance.rank_tolerance import RankTolerance
@@ -31,6 +31,75 @@ def test_query_spec_tolerance_required_for_tolerant_protocols():
     spec = QuerySpec(protocol="rtp", query=TopKQuery(k=3))
     with pytest.raises(ValueError, match="requires a tolerance"):
         spec.build()
+
+
+def _queries_and_tolerances():
+    from repro.queries.knn import KMinQuery, KnnQuery
+    from repro.spatial.geometry import BoxRegion
+    from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
+    from repro.tolerance.fraction_tolerance import FractionTolerance
+
+    queries = [
+        RangeQuery(0.0, 1.0),
+        TopKQuery(k=3),
+        KMinQuery(k=3),
+        KnnQuery(q=0.5, k=3),
+        SpatialRangeQuery(BoxRegion((0.0, 0.0), (1.0, 1.0))),
+        SpatialKnnQuery((0.5, 0.5), 3),
+    ]
+    tolerances = [FractionTolerance(0.2, 0.2), RankTolerance(k=3, r=2)]
+    return queries, tolerances
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_query_spec_checks_query_and_tolerance_types(name):
+    """Every protocol accepts exactly its PROTOCOLS entry's query and
+    tolerance types (a rank tolerance only with a rank query); anything
+    else fails at construction, naming the protocol and what it got."""
+    from repro.queries.base import RankBasedQuery
+    from repro.spatial.queries import SpatialKnnQuery
+
+    entry = PROTOCOLS[name]
+    options = {"eps": 10.0} if name == "value-eps" else {}
+    queries, tolerances = _queries_and_tolerances()
+    good = [q for q in queries if isinstance(q, entry.queries)]
+    bad = [q for q in queries if not isinstance(q, entry.queries)]
+    assert good and bad
+    for query in good:
+        assert QuerySpec(name, query, options=options).query is query
+        ranked = isinstance(query, (RankBasedQuery, SpatialKnnQuery))
+        for tolerance in tolerances:
+            if isinstance(tolerance, entry.tolerances) and (
+                ranked or not isinstance(tolerance, RankTolerance)
+            ):
+                QuerySpec(name, query, tolerance, options=options)
+                continue
+            with pytest.raises(ValueError) as error:
+                QuerySpec(name, query, tolerance, options=options)
+            message = str(error.value)
+            assert repr(name) in message
+            assert type(tolerance).__name__ in message
+            if not isinstance(tolerance, entry.tolerances):
+                assert all(t.__name__ in message for t in entry.tolerances)
+    for query in bad:
+        with pytest.raises(ValueError) as error:
+            QuerySpec(name, query, options=options)
+        message = str(error.value)
+        assert repr(name) in message
+        assert type(query).__name__ in message
+        assert all(t.__name__ in message for t in entry.queries)
+
+
+def test_query_spec_rejects_the_mismatches_that_used_to_fail_mid_run():
+    from repro.tolerance.fraction_tolerance import FractionTolerance
+
+    with pytest.raises(ValueError, match="'zt-rp' got a RangeQuery query"):
+        QuerySpec("zt-rp", RangeQuery(400.0, 600.0))
+    with pytest.raises(ValueError, match="'ft-rp' got a RankTolerance"):
+        QuerySpec("ft-rp", TopKQuery(10), RankTolerance(k=10, r=5))
+    QuerySpec("ft-rp", TopKQuery(10), FractionTolerance(0.2, 0.2))
+    with pytest.raises(ValueError, match="rank tolerance needs a rank-based"):
+        QuerySpec("no-filter", RangeQuery(0.0, 1.0), RankTolerance(k=3, r=2))
 
 
 def test_query_spec_builds_fresh_instances():
@@ -130,7 +199,7 @@ def test_deployment_rejects_inconsistent_shapes():
         Deployment.sharded(True)
 
 
-def test_deployment_validates_run_config_knobs_eagerly():
+def test_deployment_validates_replay_and_checking_knobs_eagerly():
     with pytest.raises(ValueError, match="replay_mode"):
         Deployment.single(replay_mode="fast")
     with pytest.raises(ValueError, match="batch_size"):
@@ -139,15 +208,16 @@ def test_deployment_validates_run_config_knobs_eagerly():
         Deployment.single(check_every=-1)
 
 
-def test_deployment_run_config_round_trip():
+def test_deployment_knobs_compare_by_value():
     deployment = Deployment.single(
         replay_mode="event", batch_size=128, check_every=3, strict=True
     )
-    config = deployment.run_config(label="x")
-    assert (config.replay_mode, config.batch_size) == ("event", 128)
-    assert (config.check_every, config.strict, config.label) == (3, True, "x")
-    lifted = Deployment.from_run_config(config)
-    assert lifted == deployment
+    assert (deployment.replay_mode, deployment.batch_size) == ("event", 128)
+    assert (deployment.check_every, deployment.strict) == (3, True)
+    rebuilt = Deployment(
+        replay_mode="event", batch_size=128, check_every=3, strict=True
+    )
+    assert rebuilt == deployment
 
 
 def test_with_checking_returns_updated_copy():

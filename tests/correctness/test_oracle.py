@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import Deployment, Engine
 from repro.correctness.oracle import Oracle
 from repro.queries.knn import KnnQuery, TopKQuery
 from repro.queries.range_query import RangeQuery
@@ -119,9 +120,7 @@ class TestRegisterQuery:
             oracle.register_query(object())  # type: ignore[arg-type]
 
     def test_checked_rank_query_run_registers_with_oracle(self, monkeypatch):
-        """run_protocol registers non-range queries the same way."""
-        from repro.harness.config import RunConfig
-        from repro.harness.runner import run_protocol
+        """A checked run registers non-range queries the same way."""
         from repro.protocols.rtp import RankToleranceProtocol
         from repro.streams.synthetic import (
             SyntheticConfig,
@@ -142,10 +141,10 @@ class TestRegisterQuery:
         )
         query = TopKQuery(k=3)
         tolerance = RankTolerance(k=3, r=2)
-        run_protocol(
+        Engine().run_protocol(
             trace,
             RankToleranceProtocol(query, tolerance),
             tolerance=tolerance,
-            config=RunConfig(check_every=1, strict=True),
+            deployment=Deployment.single(check_every=1, strict=True),
         )
         assert registered == [query]

@@ -8,10 +8,9 @@ that the hundreds of `tolerance_ok` assertions elsewhere are meaningful.
 
 import pytest
 
+from repro.api import Deployment, Engine
 from repro.correctness.checker import ToleranceChecker
 from repro.correctness.oracle import Oracle
-from repro.harness.config import RunConfig
-from repro.harness.runner import run_protocol
 from repro.network.accounting import MessageLedger
 from repro.network.channel import Channel
 from repro.network.messages import MessageKind
@@ -107,10 +106,10 @@ class TestStateCorruption:
                 # Claim a wildly wrong set: everything not in the answer.
                 return frozenset(range(trace.n_streams)) - honest
 
-        result = run_protocol(
+        result = Engine().run_protocol(
             trace,
             SabotagedProtocol(query),
             tolerance=tolerance,
-            config=RunConfig(check_every=1),
+            deployment=Deployment.single(check_every=1),
         )
         assert not result.tolerance_ok

@@ -17,8 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness.config import RunConfig
-from repro.harness.runner import run_protocol
+from repro.api import Deployment, Engine
 from repro.protocols.ft_nrp import FractionToleranceRangeProtocol
 from repro.protocols.ft_rp import FractionToleranceKnnProtocol
 from repro.protocols.rtp import RankToleranceProtocol
@@ -29,7 +28,7 @@ from repro.streams.trace import StreamTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
 
-CHECKED = RunConfig(check_every=1, strict=True)
+CHECKED = Deployment.single(check_every=1, strict=True)
 
 N_STREAMS = 14
 
@@ -69,10 +68,10 @@ def adversarial_traces(draw):
 @given(adversarial_traces())
 @settings(max_examples=60, deadline=None)
 def test_zt_nrp_always_exact(trace):
-    result = run_protocol(
+    result = Engine().run_protocol(
         trace,
         ZeroToleranceRangeProtocol(RangeQuery(300.0, 700.0)),
-        config=CHECKED,
+        deployment=CHECKED,
     )
     assert result.tolerance_ok
 
@@ -81,11 +80,11 @@ def test_zt_nrp_always_exact(trace):
 @settings(max_examples=60, deadline=None)
 def test_ft_nrp_holds_tolerance(trace, eps):
     tolerance = FractionTolerance(eps, eps)
-    result = run_protocol(
+    result = Engine().run_protocol(
         trace,
         FractionToleranceRangeProtocol(RangeQuery(300.0, 700.0), tolerance),
         tolerance=tolerance,
-        config=CHECKED,
+        deployment=CHECKED,
     )
     assert result.tolerance_ok
 
@@ -95,11 +94,11 @@ def test_ft_nrp_holds_tolerance(trace, eps):
 def test_rtp_holds_tolerance(trace, r):
     k = 3
     tolerance = RankTolerance(k=k, r=r)
-    result = run_protocol(
+    result = Engine().run_protocol(
         trace,
         RankToleranceProtocol(KnnQuery(500.0, k), tolerance),
         tolerance=tolerance,
-        config=CHECKED,
+        deployment=CHECKED,
     )
     assert result.tolerance_ok
     assert len(result.final_answer) == k
@@ -109,11 +108,11 @@ def test_rtp_holds_tolerance(trace, r):
 @settings(max_examples=60, deadline=None)
 def test_ft_rp_holds_tolerance(trace, eps):
     tolerance = FractionTolerance(eps, eps)
-    result = run_protocol(
+    result = Engine().run_protocol(
         trace,
         FractionToleranceKnnProtocol(KnnQuery(500.0, 4), tolerance),
         tolerance=tolerance,
-        config=CHECKED,
+        deployment=CHECKED,
     )
     assert result.tolerance_ok
 
@@ -144,7 +143,7 @@ def test_exact_ties_defeat_bound_separation():
     )
     tolerance = RankTolerance(k=k, r=r)
     protocol = RankToleranceProtocol(KnnQuery(500.0, k), tolerance)
-    run_protocol(trace, protocol, tolerance=tolerance)
+    Engine().run_protocol(trace, protocol, tolerance=tolerance)
     # Ranks by |v - 500|: s2 (5), s1 (10), then s0 and s3 tied at 60.
     # eps = 2, so R should separate rank 2 (s1) from rank 3 (s0) — that
     # works here; but re-deploying with the tie *at* the boundary cannot:
@@ -156,7 +155,7 @@ def test_exact_ties_defeat_bound_separation():
     # 3rd and 4th ranked objects (s0 and s3) are exactly tied.
     tolerance = RankTolerance(k=2, r=1)
     protocol = RankToleranceProtocol(KnnQuery(500.0, 2), tolerance)
-    run_protocol(trace, protocol, tolerance=tolerance)
+    Engine().run_protocol(trace, protocol, tolerance=tolerance)
     lower, upper = protocol.region
     inside = [v for v in initial if lower <= v <= upper]
     # The closed bound cannot exclude the tied 4th object: both tied

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.harness.config import RunConfig
-from repro.harness.runner import run_protocol
+from repro.api import Deployment, Engine
 from repro.protocols.no_filter import NoFilterProtocol
 from repro.protocols.rtp import RankToleranceProtocol
 from repro.queries.knn import KMinQuery, KnnQuery, TopKQuery
@@ -16,11 +15,11 @@ from repro.tolerance.rank_tolerance import RankTolerance
 def run_rtp(trace, query, r, strict=True):
     tolerance = RankTolerance(k=query.k, r=r)
     protocol = RankToleranceProtocol(query, tolerance)
-    result = run_protocol(
+    result = Engine().run_protocol(
         trace,
         protocol,
         tolerance=tolerance,
-        config=RunConfig(check_every=1, strict=strict),
+        deployment=Deployment.single(check_every=1, strict=strict),
     )
     return result, protocol
 
@@ -111,7 +110,7 @@ class TestCostShape:
             SyntheticConfig(n_streams=100, horizon=300.0, seed=2)
         )
         rtp, _ = run_rtp(trace, KnnQuery(500.0, 5), r=8)
-        baseline = run_protocol(trace, NoFilterProtocol(KnnQuery(500.0, 5)))
+        baseline = Engine().run_protocol(trace, NoFilterProtocol(KnnQuery(500.0, 5)))
         assert rtp.maintenance_messages < baseline.maintenance_messages
 
     def test_quiet_streams_cost_nothing(self):

@@ -2,18 +2,17 @@
 
 import numpy as np
 
-from repro.harness.config import RunConfig
-from repro.harness.runner import run_protocol
+from repro.api import Deployment, Engine
 from repro.protocols.zt_nrp import ZeroToleranceRangeProtocol
 from repro.queries.range_query import RangeQuery
 from repro.streams.trace import StreamTrace
 
 
 def test_answers_always_exact(small_trace):
-    result = run_protocol(
+    result = Engine().run_protocol(
         small_trace,
         ZeroToleranceRangeProtocol(RangeQuery(400, 600)),
-        config=RunConfig(check_every=1, strict=True),
+        deployment=Deployment.single(check_every=1, strict=True),
     )
     assert result.tolerance_ok
 
@@ -23,7 +22,7 @@ def test_cost_equals_boundary_crossings(manual_trace):
     # t1: s0 5->12  (enters)   t2: s1 15->30 (leaves)
     # t3: s2 25->18 (enters)   t4: s0 12->4  (leaves)
     # t5: s3 12->13 (stays in — no message)
-    result = run_protocol(
+    result = Engine().run_protocol(
         manual_trace, ZeroToleranceRangeProtocol(RangeQuery(10.0, 20.0))
     )
     assert result.maintenance_messages == 4
@@ -32,14 +31,14 @@ def test_cost_equals_boundary_crossings(manual_trace):
 
 
 def test_never_costs_more_than_no_filter(small_trace):
-    zt = run_protocol(
+    zt = Engine().run_protocol(
         small_trace, ZeroToleranceRangeProtocol(RangeQuery(400, 600))
     )
     assert zt.maintenance_messages <= small_trace.n_records
 
 
 def test_initialization_cost_is_3n(small_trace):
-    result = run_protocol(
+    result = Engine().run_protocol(
         small_trace, ZeroToleranceRangeProtocol(RangeQuery(400, 600))
     )
     # n probes (2 messages each) + n constraint deployments.
@@ -54,10 +53,10 @@ def test_empty_range_intersection():
         values=np.array([150.0]),
         horizon=2.0,
     )
-    result = run_protocol(
+    result = Engine().run_protocol(
         trace,
         ZeroToleranceRangeProtocol(RangeQuery(0.0, 10.0)),
-        config=RunConfig(check_every=1, strict=True),
+        deployment=Deployment.single(check_every=1, strict=True),
     )
     assert result.final_answer == frozenset()
     assert result.maintenance_messages == 0

@@ -167,15 +167,17 @@ def test_spatial_checking_requires_a_query():
     trace = WORKLOAD.materialize()
     protocol = spec.build()
     protocol.query = None
-    from repro.api.engine import _execute_spatial_transport
+    from repro.api.engine import _execute_transport
 
     with pytest.raises(ValueError, match="checking requires a query"):
-        _execute_spatial_transport(
+        _execute_transport(
+            "spatial",
             trace,
             protocol,
             None,
             None,
             Deployment.sharded(2, parallel=True, check_every=5),
+            "",
         )
 
 

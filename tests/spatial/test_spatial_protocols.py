@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.harness.config import RunConfig
+from repro.api import Deployment, Engine
 from repro.spatial.geometry import BoxRegion
 from repro.spatial.protocols import (
     SpatialFractionKnnProtocol,
@@ -14,7 +14,6 @@ from repro.spatial.protocols import (
     SpatialZeroRangeProtocol,
 )
 from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
-from repro.spatial.runner import run_spatial_protocol
 from repro.spatial.trace import SpatialTrace
 from repro.spatial.workloads import (
     MovingObjectsConfig,
@@ -24,7 +23,7 @@ from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.knn_fraction import RhoPolicy
 from repro.tolerance.rank_tolerance import RankTolerance
 
-CHECKED = RunConfig(check_every=1, strict=True)
+CHECKED = Deployment.single(check_every=1, strict=True)
 BOX = BoxRegion([350.0, 350.0], [650.0, 650.0])
 CENTER = [500.0, 500.0]
 
@@ -38,22 +37,24 @@ def trace():
 
 class TestExactProtocols:
     def test_no_filter_exact(self, trace):
-        result = run_spatial_protocol(
-            trace, SpatialNoFilterProtocol(SpatialRangeQuery(BOX)), config=CHECKED
+        result = Engine().run_protocol(
+            trace, SpatialNoFilterProtocol(SpatialRangeQuery(BOX)), deployment=CHECKED
         )
         assert result.tolerance_ok
         assert result.maintenance_messages == trace.n_records
 
     def test_zt_range_exact_and_cheaper(self, trace):
-        result = run_spatial_protocol(
-            trace, SpatialZeroRangeProtocol(SpatialRangeQuery(BOX)), config=CHECKED
+        result = Engine().run_protocol(
+            trace, SpatialZeroRangeProtocol(SpatialRangeQuery(BOX)), deployment=CHECKED
         )
         assert result.tolerance_ok
         assert result.maintenance_messages < trace.n_records
 
     def test_zt_knn_exact(self, trace):
-        result = run_spatial_protocol(
-            trace, SpatialZeroKnnProtocol(SpatialKnnQuery(CENTER, 5)), config=CHECKED
+        result = Engine().run_protocol(
+            trace,
+            SpatialZeroKnnProtocol(SpatialKnnQuery(CENTER, 5)),
+            deployment=CHECKED,
         )
         assert result.tolerance_ok
 
@@ -62,11 +63,11 @@ class TestSpatialFtNrp:
     @pytest.mark.parametrize("eps", [0.0, 0.2, 0.45])
     def test_tolerance_held(self, trace, eps):
         tolerance = FractionTolerance(eps, eps)
-        result = run_spatial_protocol(
+        result = Engine().run_protocol(
             trace,
             SpatialFractionRangeProtocol(SpatialRangeQuery(BOX), tolerance),
             tolerance=tolerance,
-            config=CHECKED,
+            deployment=CHECKED,
         )
         assert result.tolerance_ok
 
@@ -75,7 +76,7 @@ class TestSpatialFtNrp:
         protocol = SpatialFractionRangeProtocol(
             SpatialRangeQuery(BOX), tolerance
         )
-        run_spatial_protocol(
+        Engine().run_protocol(
             trace.truncate(0.0), protocol, tolerance=tolerance
         )
         box_members = int(BOX.contains_many(trace.initial_points).sum())
@@ -88,11 +89,11 @@ class TestSpatialRtp:
     @pytest.mark.parametrize("k,r", [(3, 0), (5, 2), (8, 5)])
     def test_tolerance_held(self, trace, k, r):
         tolerance = RankTolerance(k=k, r=r)
-        result = run_spatial_protocol(
+        result = Engine().run_protocol(
             trace,
             SpatialRankToleranceProtocol(SpatialKnnQuery(CENTER, k), tolerance),
             tolerance=tolerance,
-            config=CHECKED,
+            deployment=CHECKED,
         )
         assert result.tolerance_ok
         assert len(result.final_answer) == k
@@ -107,7 +108,7 @@ class TestSpatialRtp:
         costs = {}
         for r in (0, 6):
             tolerance = RankTolerance(k=5, r=r)
-            result = run_spatial_protocol(
+            result = Engine().run_protocol(
                 trace,
                 SpatialRankToleranceProtocol(
                     SpatialKnnQuery(CENTER, 5), tolerance
@@ -123,22 +124,22 @@ class TestSpatialFtRp:
     @pytest.mark.parametrize("policy", list(RhoPolicy))
     def test_tolerance_held(self, trace, eps, policy):
         tolerance = FractionTolerance(eps, eps)
-        result = run_spatial_protocol(
+        result = Engine().run_protocol(
             trace,
             SpatialFractionKnnProtocol(
                 SpatialKnnQuery(CENTER, 8), tolerance, policy=policy
             ),
             tolerance=tolerance,
-            config=CHECKED,
+            deployment=CHECKED,
         )
         assert result.tolerance_ok
 
     def test_tolerance_slashes_cost_vs_zt(self, trace):
-        zt = run_spatial_protocol(
+        zt = Engine().run_protocol(
             trace, SpatialZeroKnnProtocol(SpatialKnnQuery(CENTER, 10))
         )
         tolerance = FractionTolerance(0.3, 0.3)
-        ft = run_spatial_protocol(
+        ft = Engine().run_protocol(
             trace,
             SpatialFractionKnnProtocol(SpatialKnnQuery(CENTER, 10), tolerance),
             tolerance=tolerance,
@@ -160,8 +161,8 @@ class TestManySeeds:
             (SpatialFractionRangeProtocol(SpatialRangeQuery(BOX), frac_tol), frac_tol),
         ]
         for protocol, tolerance in runs:
-            result = run_spatial_protocol(
-                trace, protocol, tolerance=tolerance, config=CHECKED
+            result = Engine().run_protocol(
+                trace, protocol, tolerance=tolerance, deployment=CHECKED
             )
             assert result.tolerance_ok, protocol.name
 
@@ -178,10 +179,38 @@ class TestDegenerateTraces:
             horizon=10.0,
         )
         tolerance = FractionTolerance(0.2, 0.2)
-        result = run_spatial_protocol(
+        result = Engine().run_protocol(
             trace,
             SpatialFractionRangeProtocol(SpatialRangeQuery(BOX), tolerance),
             tolerance=tolerance,
-            config=CHECKED,
+            deployment=CHECKED,
         )
         assert result.maintenance_messages == 0
+
+
+class TestViolationOverflow:
+    """A report keeps 100 violation lines and says how many it dropped."""
+
+    @pytest.mark.parametrize(
+        "deployment",
+        [
+            Deployment.single(check_every=1, latency=1.0),
+            Deployment.sharded(2, check_every=1, latency=1.0),
+        ],
+        ids=["single", "sharded"],
+    )
+    def test_overflow_marker_counts_the_dropped_violations(self, deployment):
+        from repro.api import QuerySpec, Workload
+
+        report = Engine().run(
+            QuerySpec("zt-nrp-2d", SpatialRangeQuery(BOX)),
+            Workload.moving_objects(n_objects=2000, horizon=10.0, seed=0),
+            deployment,
+        )
+        counted = (
+            report.extras["violations_inherent_latency"]
+            + report.extras["violations_protocol_bug"]
+        )
+        assert counted > 100
+        assert len(report.violations) == 101
+        assert report.violations[-1] == f"... and {counted - 100} more"

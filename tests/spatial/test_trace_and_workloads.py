@@ -45,6 +45,25 @@ class TestSpatialTrace:
                 horizon=2.0,
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "column", ["initial_points", "times", "points", "horizon"]
+    )
+    def test_non_finite_columns_rejected(self, column, bad):
+        fields = {
+            "initial_points": np.zeros((2, 2)),
+            "times": np.array([1.0, 2.0]),
+            "stream_ids": np.array([0, 1]),
+            "points": np.ones((2, 2)),
+            "horizon": 3.0,
+        }
+        if column == "horizon":
+            fields["horizon"] = bad
+        else:
+            fields[column][-1] = bad
+        with pytest.raises(ValueError, match=f"{column} must be finite"):
+            SpatialTrace(**fields)
+
     def test_iteration_and_truncate(self):
         trace = SpatialTrace(
             initial_points=np.zeros((2, 2)),

@@ -38,6 +38,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_trace([1.0], [7], [1.0], n_streams=3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["initial_values", "times", "values"])
+    def test_non_finite_columns_rejected(self, column, bad):
+        arrays = {
+            "initial_values": np.zeros(2),
+            "times": np.array([1.0, 2.0]),
+            "values": np.array([1.0, 2.0]),
+        }
+        arrays[column][-1] = bad
+        with pytest.raises(ValueError, match=f"{column} must be finite"):
+            StreamTrace(
+                stream_ids=np.array([0, 1]), horizon=3.0, **arrays
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_horizon_rejected(self, bad):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            make_trace([1.0], [0], [1.0], horizon=bad)
+
+    def test_non_finite_values_never_reach_a_run(self):
+        """A NaN/inf trace used to replay to a vacuous tolerance_ok."""
+        with pytest.raises(ValueError, match="values must be finite"):
+            make_trace([1.0, 2.0], [0, 1], [np.nan, np.inf], n_streams=2)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             make_trace([-1.0], [0], [1.0])

@@ -1,5 +1,8 @@
 """The public API surface: everything in __all__ imports and works."""
 
+import re
+from pathlib import Path
+
 import repro
 
 
@@ -9,7 +12,13 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "1.3.0"
+    """The package version is the one the project metadata declares."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = re.search(
+        r'^version\s*=\s*"([^"]+)"', pyproject.read_text(), re.MULTILINE
+    )
+    assert declared is not None
+    assert repro.__version__ == declared.group(1)
 
 
 def test_quickstart_docstring_flow():
